@@ -1,14 +1,11 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.exp.Prep
 import repro.exp.Prep.Prepared
-import repro.h3.HexGrid
 
 /** Shared bench-scale datasets, built once per JVM (the bench suites run
-  * sequentially in one forked JVM). Thin wrapper over [[repro.exp.Prep]]
-  * so the spark-submit jobs and the benches share one code path.
+  * sequentially in one forked JVM).
   *
   * Scale: the paper's datasets are 0.8–4.4 M positions; these analogues
   * are ~10–20x smaller so a full table reproduction stays in minutes on a
@@ -17,20 +14,7 @@ import repro.h3.HexGrid
   * absolute numbers, are the reproduction target.
   */
 object BenchData {
-  lazy val spark: SparkSession = {
-    val s = SparkSpec.shared
-    HexGrid.registerUdfs(s)
-    s
-  }
-
-  lazy val dan: Prepared  = { spark; Prep.dan(spark) }
-  lazy val kiel: Prepared = { spark; Prep.kiel(spark) }
-  lazy val sar: Prepared  = { spark; Prep.sar(spark) }
-
-  def gtiPaths(p: Prepared): Seq[IndexedSeq[repro.geo.LatLng]] = p.gtiPaths
-
-  def fmt(d: Double): String = Prep.fmt(d)
-
-  def printTable(title: String, header: Seq[String], rows: Seq[Seq[String]]): Unit =
-    Prep.printTable(title, header, rows)
+  lazy val dan: Prepared  = Prep.dan(SparkSpec.shared)
+  lazy val kiel: Prepared = Prep.kiel(SparkSpec.shared)
+  lazy val sar: Prepared  = Prep.sar(SparkSpec.shared)
 }

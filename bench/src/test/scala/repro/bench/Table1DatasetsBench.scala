@@ -1,6 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.exp.Prep.{fmt, printTable}
+import repro.exp.Tables
 
 /** Reproduces Table 1 — characteristics of the AIS datasets — for the
   * synthetic analogues. Paper values are printed alongside for diffing;
@@ -14,28 +16,25 @@ class Table1DatasetsBench extends AnyFunSuite {
       "DAN"  -> ("Passenger", 786.0, 4384003L, 1292L, 16L),
       "KIEL" -> ("Passenger", 145.0, 806498L, 86L, 2L),
       "SAR"  -> ("All", 141.0, 1171162L, 20778L, 2579L))
-    val rows = Seq(dan, kiel, sar).map { p =>
-      val positions = p.cleaned.count()
-      val trips     = p.trips.select("trip_id").distinct().count()
-      val ships     = p.trips.select("vessel_id").distinct().count()
-      val (ptype, pmb, ppos, ptrips, pships) = paper(p.name)
-      assert(positions > 0 && trips > 0 && ships > 0)
-      Seq(p.name, ptype, fmt(p.rawSizeMb), positions.toString, trips.toString, ships.toString,
-          fmt(pmb), ppos.toString, ptrips.toString, pships.toString)
-    }
+    val rows = Tables.table1(Seq(dan, kiel, sar))
     printTable("Table 1: AIS dataset characteristics (ours vs paper)",
       Seq("Dataset", "Type", "Size MB", "Positions", "Trips", "Ships",
           "paper MB", "paper Pos", "paper Trips", "paper Ships"),
-      rows)
+      rows.map { r =>
+        val (ptype, pmb, ppos, ptrips, pships) = paper(r.dataset)
+        Seq(r.dataset, ptype) ++ r.cells.tail ++
+          Seq(fmt(pmb), ppos.toString, ptrips.toString, pships.toString)
+      })
 
+    val Seq(danRow, kielRow, sarRow) = rows
+    assert(rows.forall(r => r.positions > 0 && r.trips > 0 && r.ships > 0))
     // Shape assertions mirroring the paper's dataset design:
-    assert(kiel.trips.select("vessel_id").distinct().count() == 2)
-    assert(dan.trips.select("vessel_id").distinct().count() == 16)
-    val sarShips = sar.trips.select("vessel_id").distinct().count()
-    assert(sarShips > 50, s"SAR should have a large fleet, got $sarShips")
+    assert(kielRow.ships == 2)
+    assert(danRow.ships == 16)
+    assert(sarRow.ships > 50, s"SAR should have a large fleet, got ${sarRow.ships}")
     // SAR has many short trips; DAN has long ones.
-    val avgDan = dan.cleaned.count().toDouble / dan.trips.select("trip_id").distinct().count()
-    val avgSar = sar.cleaned.count().toDouble / sar.trips.select("trip_id").distinct().count()
+    val avgDan = danRow.positions.toDouble / danRow.trips
+    val avgSar = sarRow.positions.toDouble / sarRow.trips
     assert(avgDan > avgSar, "DAN trips should be longer than SAR trips on average")
   }
 }

@@ -1,8 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Habit, HabitConfig, MotionGraph}
-import repro.geo.Geo
+import repro.exp.Prep.printTable
+import repro.exp.Tables
 
 /** Reproduces Table 3 — effect of RDP simplification tolerance t on the
   * imputed trajectories over the DAN dataset: average position count,
@@ -18,65 +18,36 @@ class Table3SimplificationBench extends AnyFunSuite {
   import BenchData._
 
   private val paper = Map( // (r, t) -> (cnt, avgRot, maxRot, over45)
-    (9, 0)     -> (96.35, 30.79, 112.71, 34.13),
-    (9, 100)   -> (51.76, 54.92, 112.31, 33.78),
-    (9, 250)   -> (35.32, 57.61, 109.96, 23.75),
-    (9, 500)   -> (14.57, 44.89, 84.03, 6.11),
-    (9, 1000)  -> (6.93, 34.32, 56.05, 1.64),
-    (10, 0)    -> (198.31, 30.64, 119.07, 62.37),
-    (10, 100)  -> (71.96, 48.53, 116.93, 35.26),
-    (10, 250)  -> (21.03, 33.85, 77.01, 4.43),
-    (10, 500)  -> (8.62, 24.70, 43.31, 0.60),
-    (10, 1000) -> (4.67, 19.85, 27.38, 0.09))
-  private val paperOriginal = (595.63, 6.55, 110.79, 33.84)
+    (9, 0)     -> Seq(96.35, 30.79, 112.71, 34.13),
+    (9, 100)   -> Seq(51.76, 54.92, 112.31, 33.78),
+    (9, 250)   -> Seq(35.32, 57.61, 109.96, 23.75),
+    (9, 500)   -> Seq(14.57, 44.89, 84.03, 6.11),
+    (9, 1000)  -> Seq(6.93, 34.32, 56.05, 1.64),
+    (10, 0)    -> Seq(198.31, 30.64, 119.07, 62.37),
+    (10, 100)  -> Seq(71.96, 48.53, 116.93, 35.26),
+    (10, 250)  -> Seq(21.03, 33.85, 77.01, 4.43),
+    (10, 500)  -> Seq(8.62, 24.70, 43.31, 0.60),
+    (10, 1000) -> Seq(4.67, 19.85, 27.38, 0.09))
+  private val paperOriginal = Seq(595.63, 6.55, 110.79, 33.84)
 
   test("Table 3: effect of simplification on the imputed trajectories") {
-    val gaps = dan.gaps(3600)
-    assert(gaps.nonEmpty, "no eligible 60-min gaps in the DAN test split")
-    val tolerances = Seq(0.0, 100.0, 250.0, 500.0, 1000.0)
-
-    val rows = for (r <- Seq(9, 10)) yield {
-      val graph = MotionGraph.build(dan.trainDf, r)
-      tolerances.map { t =>
-        val habit = new Habit(graph, HabitConfig(res = r, toleranceM = t))
-        val stats = gaps.map(g => Geo.turnStats(habit.impute(g.from, g.to)))
-        val cnt    = stats.map(_.cnt.toDouble).sum / stats.size
-        val avgRot = stats.map(_.avgRot).sum / stats.size
-        val maxRot = stats.map(_.maxRot).sum / stats.size
-        val over45 = stats.map(_.over45.toDouble).sum / stats.size
-        (r, t, cnt, avgRot, maxRot, over45)
-      }
-    }
-    val orig = {
-      val stats = gaps.map(g => Geo.turnStats(g.truth))
-      (stats.map(_.cnt.toDouble).sum / stats.size,
-       stats.map(_.avgRot).sum / stats.size,
-       stats.map(_.maxRot).sum / stats.size,
-       stats.map(_.over45.toDouble).sum / stats.size)
-    }
-
+    val table = Tables.table3(dan)
     printTable("Table 3: simplification effect on imputed paths [DAN], ours vs paper",
       Seq("r", "t", "cnt", "Avg rot", "Max rot", ">45", "p.cnt", "p.avg", "p.max", "p.>45"),
-      rows.flatten.map { case (r, t, c, a, m, o) =>
-        val (pc, pa, pm, po) = paper((r, t.toInt))
-        Seq(r.toString, t.toInt.toString, fmt(c), fmt(a), fmt(m), fmt(o),
-            pc.toString, pa.toString, pm.toString, po.toString)
-      } :+ {
-        val (pc, pa, pm, po) = paperOriginal
-        Seq("Orig", "-", fmt(orig._1), fmt(orig._2), fmt(orig._3), fmt(orig._4),
-            pc.toString, pa.toString, pm.toString, po.toString)
-      })
+      table.rows.map(r => r.cells ++ paper((r.r, r.t)).map(_.toString)) :+
+        (Seq("Orig", "-") ++ table.original.cells ++ paperOriginal.map(_.toString)))
 
+    val rows = table.rows.groupBy(_.r).toSeq.sortBy(_._1).map(_._2)
     for (byRes <- rows) {
       // Position count decreases monotonically with tolerance.
-      val cnts = byRes.map(_._3)
+      val cnts = byRes.map(_.turns.cnt)
       assert(cnts.zip(cnts.tail).forall { case (a, b) => a >= b }, s"cnt not monotone: $cnts")
       // Abrupt (>45 deg) turns at t=1000 are rarer than at t=0.
-      assert(byRes.last._6 <= byRes.head._6, s">45 turns not reduced: $byRes")
+      assert(byRes.last.turns.over45 <= byRes.head.turns.over45, s">45 turns not reduced: $byRes")
     }
     // r=10 unsimplified paths carry more positions than r=9 (finer grid).
-    assert(rows(1).head._3 > rows(0).head._3)
+    assert(rows(1).head.turns.cnt > rows(0).head.turns.cnt)
     // Original trajectories have (much) more positions than imputed+simplified.
-    assert(orig._1 > rows(0).map(_._3).min)
+    assert(table.original.cnt > rows(0).map(_.turns.cnt).min)
   }
 }

@@ -1,9 +1,8 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.baselines.{GTI, SLI}
-import repro.core.{Habit, HabitConfig, MotionGraph}
-import repro.eval.GapHarness
+import repro.exp.Prep.{fmt, printTable}
+import repro.exp.Tables
 
 /** Reproduces Table 4 — average and maximum imputation query latency (s)
   * for HABIT (r, t) and GTI (rm, rd) configurations over the same 60-min
@@ -36,79 +35,47 @@ class Table4LatencyBench extends AnyFunSuite {
     ("SAR", "GTI", "rm=500 rd=1e-3")     -> (1.216, 5.185))
 
   test("Table 4: imputation query latency (and Figure 5 accuracy)") {
-    val results = for (p <- Seq(kiel, sar)) yield {
-      val gaps = p.gaps(3600)
-      assert(gaps.nonEmpty, s"no eligible gaps on ${p.name}")
-      val graphs = Seq(9, 10).map(r => r -> MotionGraph.build(p.trainDf, r)).toMap
-      val habitRows = for ((r, t) <- Seq((9, 100), (9, 250), (10, 100), (10, 250))) yield {
-        val h = new Habit(graphs(r), HabitConfig(res = r, toleranceM = t))
-        GapHarness.evaluate(h.impute, gaps) // JIT warm-up pass, untimed
-        val res = GapHarness.evaluate(h.impute, gaps)
-        (p.name, "HABIT", s"r=$r t=$t", res)
-      }
-      val paths = gtiPaths(p)
-      val gtiConfigs =
-        if (p.name == "KIEL") Seq((250.0, 1e-4), (250.0, 5e-4), (250.0, 1e-3))
-        else Seq((250.0, 1e-4), (250.0, 5e-4), (500.0, 1e-3))
-      val gtiRows = for ((rm, rd) <- gtiConfigs) yield {
-        val g = GTI.build(paths, rmM = rm, rdDeg = rd)
-        GapHarness.evaluate(g.impute, gaps) // JIT warm-up pass, untimed
-        val res = GapHarness.evaluate(g.impute, gaps)
-        val rdS = if (rd == 1e-4) "1e-4" else if (rd == 5e-4) "5e-4" else "1e-3"
-        (p.name, "GTI", s"rm=${rm.toInt} rd=$rdS", res)
-      }
-      val sliRow = (p.name, "SLI", "-", GapHarness.evaluate(SLI.impute, gaps))
-      (p.name, gaps.size, habitRows, gtiRows, sliRow)
-    }
-
-    val allRows = results.flatMap { case (_, _, h, g, s) => h ++ g :+ s }
+    val rows = Tables.table4(kiel, sar)
     printTable("Table 4: query latency (s) + DTW accuracy, ours vs paper",
       Seq("Dataset", "Method", "Config", "Avg s", "Max s", "meanDTW m", "medDTW m",
           "paper Avg", "paper Max"),
-      allRows.map { case (ds, m, cfg, res) =>
-        val (pa, pm) = paper.getOrElse((ds, m, cfg), (Double.NaN, Double.NaN))
-        Seq(ds, m, cfg, f"${res.avgLatency}%.4f", f"${res.maxLatency}%.4f",
-            fmt(res.meanDtw), fmt(res.medianDtw),
-            if (pa.isNaN) "-" else pa.toString, if (pm.isNaN) "-" else pm.toString)
+      rows.map { r =>
+        val p = paper.get((r.dataset, r.method, r.config))
+        r.cells ++ Seq(p.fold("-")(_._1.toString), p.fold("-")(_._2.toString))
       })
-    results.foreach { case (name, n, _, _, _) => println(s"$name gaps: $n") }
-
-    for ((name, _, habitRows, gtiRows, sliRow) <- results) {
-      val habitAvg = habitRows.map(_._4.avgLatency)
-      val gtiAvg   = gtiRows.map(_._4.avgLatency)
+    for (name <- Seq("KIEL", "SAR")) {
+      val dsRows = rows.filter(_.dataset == name)
+      println(s"$name gaps: ${dsRows.head.result.nGaps}")
+      assert(dsRows.forall(_.result.nGaps > 0), s"no eligible gaps on $name")
+      val habitRows = dsRows.filter(_.method == "HABIT").map(_.result)
+      val gtiRows   = dsRows.filter(_.method == "GTI").map(_.result)
+      val habitAvg = habitRows.map(_.avgLatency)
+      val gtiAvg   = gtiRows.map(_.avgLatency)
       // HABIT sub-second on average; slower at finer resolution (r=10 > r=9).
       assert(habitAvg.forall(_ < 1.0), s"$name: HABIT not sub-second: $habitAvg")
       // Finer resolution means longer cell paths: r=10 should not be
       // substantially faster than r=9 at the same tolerance (warm-up done).
-      assert(habitRows(3)._4.avgLatency >= habitRows(1)._4.avgLatency * 0.5,
+      assert(habitRows(3).avgLatency >= habitRows(1).avgLatency * 0.5,
         s"$name: r=10 unexpectedly much faster than r=9")
       // GTI is slower than HABIT's fastest configuration.
       assert(gtiAvg.min > habitAvg.min, s"$name: GTI ${gtiAvg.min} not slower than HABIT ${habitAvg.min}")
       // Figure 5 shape on KIEL: both model-based methods beat SLI.
       if (name == "KIEL") {
-        val sliDtw = sliRow._4.meanDtw
-        assert(habitRows.map(_._4.meanDtw).min < sliDtw, s"HABIT worse than SLI on KIEL")
-        assert(gtiRows.map(_._4.meanDtw).min < sliDtw, s"GTI worse than SLI on KIEL")
+        val sliDtw = dsRows.find(_.method == "SLI").get.result.meanDtw
+        assert(habitRows.map(_.meanDtw).min < sliDtw, s"HABIT worse than SLI on KIEL")
+        assert(gtiRows.map(_.meanDtw).min < sliDtw, s"GTI worse than SLI on KIEL")
       }
     }
   }
 
   test("Figure 7 companion: HABIT accuracy degrades sub-linearly with gap size") {
-    val p = kiel
-    val graph = MotionGraph.build(p.trainDf, 9)
-    val h = new Habit(graph, HabitConfig(res = 9, toleranceM = 100))
-    val errs = Seq(3600L, 7200L, 14400L).map { d =>
-      val gaps = p.gaps(d)
-      if (gaps.isEmpty) Double.NaN else GapHarness.evaluate(h.impute, gaps).medianDtw
-    }
+    val errs = Tables.figure7(kiel).map(_.medianDtw)
     println(s"\nFigure 7 [KIEL, r=9 t=100] median DTW for 1h/2h/4h gaps: " +
-      errs.map(e => if (e.isNaN) "n/a" else fmt(e)).mkString(" / "))
-    val valid = errs.filterNot(_.isNaN)
-    assert(valid.nonEmpty)
-    // Median error for 4h gaps stays within ~6x of the 1h error — "the
-    // increase in median error is not proportional to the gap length".
-    if (!errs.head.isNaN && !errs.last.isNaN)
-      assert(errs.last < math.max(200.0, errs.head * 8.0),
-        s"4h error ${errs.last} blew up vs 1h ${errs.head}")
+      errs.map(_.fold("n/a")(fmt)).mkString(" / "))
+    assert(errs.exists(_.nonEmpty))
+    // Median error for 4h gaps stays below 4x the 1h error (200 m floor):
+    // "the increase in median error is not proportional to the gap length".
+    for (e1 <- errs.head; e4 <- errs.last)
+      assert(e4 < math.max(200.0, e1 * 4.0), s"4h error $e4 blew up vs 1h $e1")
   }
 }

@@ -35,7 +35,7 @@ final class MotionGraph(val res: Int,
     var k = 1
     while (k <= maxRing) {
       val hits = HexGrid.ring(cell, k).filter(nodes.contains)
-      if (hits.nonEmpty) return Some(hits.minBy(nodes(_).cell))
+      if (hits.nonEmpty) return Some(hits.min)
       k += 1
     }
     if (nodes.isEmpty) None

@@ -5,9 +5,9 @@ import repro.eval.{Gap, GapHarness, TimedPoint}
 import repro.h3.HexGrid
 import repro.preprocess.{Cleaner, TripSegmenter}
 
-/** Shared experiment preparation used by both the spark-submit jobs in
-  * ``jobs/`` and the bench suites: dataset generation → cleaning →
-  * segmentation → 70/30 split → gap extraction, all deterministic.
+/** Experiment preparation shared by [[Tables]], the bench suites and the
+  * benchmark runner: dataset generation → cleaning → segmentation → 70/30
+  * split → gap extraction, all deterministic.
   */
 object Prep {
 
@@ -41,14 +41,16 @@ object Prep {
   /** Bench-scale analogues of the paper's three datasets (Table 1 sizes
     * scaled ~10–20x down; see EXPERIMENTS.md).
     */
-  def dan(spark: SparkSession, nTrips: Int = 160): Prepared =
-    prepare("DAN", repro.ais.Datasets.dan(spark, nTrips).cache())
-  def kiel(spark: SparkSession, nTrips: Int = 60): Prepared =
-    prepare("KIEL", repro.ais.Datasets.kiel(spark, nTrips).cache())
-  def sar(spark: SparkSession, nTrips: Int = 400, nShips: Int = 120): Prepared =
-    prepare("SAR", repro.ais.Datasets.sar(spark, nTrips, nShips).cache())
+  def dan(spark: SparkSession): Prepared =
+    prepare("DAN", repro.ais.Datasets.dan(spark, 160).cache())
+  def kiel(spark: SparkSession): Prepared =
+    prepare("KIEL", repro.ais.Datasets.kiel(spark, 60).cache())
+  def sar(spark: SparkSession): Prepared =
+    prepare("SAR", repro.ais.Datasets.sar(spark, 400, 120).cache())
 
-  /** SparkSession for standalone jobs (spark-submit or sbt runMain). */
+  /** The local SparkSession of every entry point and test run, with the
+    * HexGrid UDFs registered.
+    */
   def session(app: String): SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

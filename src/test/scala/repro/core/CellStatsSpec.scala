@@ -8,8 +8,6 @@ import repro.preprocess.{Cleaner, TripSegmenter}
 
 class CellStatsSpec extends AnyFunSuite with SparkSpec {
 
-  HexGrid.registerUdfs(spark)
-
   private lazy val trips = {
     val raw = repro.ais.Datasets.kiel(spark, nTrips = 4)
     TripSegmenter.segment(Cleaner.clean(raw)).cache()

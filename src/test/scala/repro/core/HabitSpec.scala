@@ -10,8 +10,6 @@ import repro.preprocess.{Cleaner, TripSegmenter}
 
 class HabitSpec extends AnyFunSuite with SparkSpec {
 
-  HexGrid.registerUdfs(spark)
-
   // Shared fixture: KIEL analogue, 70/30 split, graph on the training part.
   private lazy val trips = GapHarness.collectTrips(
     TripSegmenter.segment(Cleaner.clean(repro.ais.Datasets.kiel(spark, nTrips = 10))).cache())

@@ -4,13 +4,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.baselines.SLI
 import repro.geo.LatLng
-import repro.h3.HexGrid
 import repro.preprocess.{Cleaner, TripSegmenter}
 import scala.util.Random
 
 class GapHarnessSpec extends AnyFunSuite with SparkSpec {
-
-  HexGrid.registerUdfs(spark)
 
   private lazy val trips = GapHarness.collectTrips(
     TripSegmenter.segment(Cleaner.clean(repro.ais.Datasets.kiel(spark, nTrips = 6))))

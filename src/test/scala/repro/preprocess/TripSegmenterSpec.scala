@@ -4,11 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.ais.AisRecord
 import repro.geo.{Geo, LatLng}
-import repro.h3.HexGrid
 
 class TripSegmenterSpec extends AnyFunSuite with SparkSpec {
-
-  HexGrid.registerUdfs(spark)
 
   private def df(rows: Seq[AisRecord]) = {
     import spark.implicits._
