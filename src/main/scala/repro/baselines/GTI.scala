@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.Search
 import repro.geo.{Geo, LatLng}
 import scala.collection.mutable
 
@@ -10,7 +11,8 @@ import scala.collection.mutable
   * (b) between points of different trajectories within the two radius
   * parameters — `rm` meters and `rd` degrees — and imputes a gap as the
   * Dijkstra shortest path (in meters) between the nodes nearest to the
-  * gap endpoints.
+  * gap endpoints. The edges are stored in CSR form: the out-edges of point
+  * `u` are the slots `off(u) until off(u + 1)` of `tgt` and `cost`.
   *
   * Per-point cross-trajectory edges are capped (`maxCross`) so dense lanes
   * stay computable at bench scale; the cap is far above what the sparse
@@ -18,8 +20,10 @@ import scala.collection.mutable
   * is preserved.
   */
 final class GTI private (lats: Array[Double], lons: Array[Double],
-                         adjIdx: Array[Array[Int]], adjCost: Array[Array[Double]],
+                         off: Array[Int], tgt: Array[Int], cost: Array[Double],
                          rdDeg: Double) extends Serializable {
+
+  private val cosLat: Array[Double] = lats.map(lat => math.cos(Geo.toRad(lat)))
 
   private val bucket: Map[(Long, Long), Array[Int]] = {
     val m = mutable.Map.empty[(Long, Long), mutable.ArrayBuffer[Int]]
@@ -32,96 +36,77 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
   }
 
   def nodeCount: Int = lats.length
-  def edgeCount: Int = adjIdx.iterator.map(_.length).sum
+  def edgeCount: Int = tgt.length
 
   /** Serialized footprint in bytes — the Table 2 storage metric. */
   def serializedSizeBytes: Long = {
     val bos = new java.io.ByteArrayOutputStream()
     val oos = new java.io.ObjectOutputStream(bos)
+    // One array per point's edge targets and costs.
+    val ends = off.indices.drop(1)
     oos.writeObject(lats); oos.writeObject(lons)
-    oos.writeObject(adjIdx); oos.writeObject(adjCost)
+    oos.writeObject(ends.map(u => java.util.Arrays.copyOfRange(tgt, off(u - 1), off(u))).toArray)
+    oos.writeObject(ends.map(u => java.util.Arrays.copyOfRange(cost, off(u - 1), off(u))).toArray)
     oos.close()
     bos.size().toLong
   }
 
-  /** Index of the training point nearest to `p` (expanding bucket rings). */
+  /** Index of the training point nearest to `p` (expanding bucket rings;
+    * ring k visits only the buckets at Chebyshev distance k, in dq-major
+    * order).
+    */
   def nearestNode(p: LatLng): Int = {
     var ring = 0
     val (bq, br) = (math.floor(p.lat / rdDeg).toLong, math.floor(p.lon / rdDeg).toLong)
+    val cosP = math.cos(Geo.toRad(p.lat))
+    var best = -1; var bestD = Double.PositiveInfinity
+    def visit(dq: Int, dr: Int): Unit =
+      for (i <- bucket.getOrElse((bq + dq, br + dr), Array.empty[Int])) {
+        val d = Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i))
+        if (d < bestD) { bestD = d; best = i }
+      }
     while (ring < 1000) {
-      var best = -1; var bestD = Double.PositiveInfinity
       var dq = -ring
       while (dq <= ring) {
-        var dr = -ring
-        while (dr <= ring) {
-          if (math.max(math.abs(dq), math.abs(dr)) == ring) {
-            for (i <- bucket.getOrElse((bq + dq, br + dr), Array.empty[Int])) {
-              val d = Geo.haversineM(p, LatLng(lats(i), lons(i)))
-              if (d < bestD) { bestD = d; best = i }
-            }
-          }
-          dr += 1
-        }
+        if (math.abs(dq) == ring) {
+          var dr = -ring
+          while (dr <= ring) { visit(dq, dr); dr += 1 }
+        } else { visit(dq, -ring); visit(dq, ring) }
         dq += 1
       }
       if (best >= 0) return best
       ring += 1
     }
     // Degenerate fallback: full scan.
-    (0 until lats.length).minBy(i => Geo.haversineM(p, LatLng(lats(i), lons(i))))
+    (0 until lats.length).minBy(i => Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i)))
   }
 
   /** Impute the gap between `from` and `to`: Dijkstra over the point graph
-    * (cost in meters); straight segment if no path exists.
+    * (cost in meters), guided by the straight-line distance to the goal;
+    * straight segment if no path exists.
     */
-  def impute(from: LatLng, to: LatLng): IndexedSeq[LatLng] = {
-    val s = nearestNode(from); val g = nearestNode(to)
-    dijkstra(s, g) match {
+  def impute(from: LatLng, to: LatLng): IndexedSeq[LatLng] =
+    shortestPath(nearestNode(from), nearestNode(to)) match {
       case Some(path) =>
-        val mid = path.map(i => LatLng(lats(i), lons(i)))
+        val mid = path.toIndexedSeq.map(i => LatLng(lats(i), lons(i)))
           .filter(p => Geo.haversineM(p, from) > 1.0 && Geo.haversineM(p, to) > 1.0)
         from +: mid :+ to
       case None => IndexedSeq(from, to)
     }
-  }
 
-  private def dijkstra(s: Int, g: Int): Option[IndexedSeq[Int]] = {
-    if (s == g) return Some(IndexedSeq(s))
-    val dist = mutable.Map(s -> 0.0)
-    val prev = mutable.Map.empty[Int, Int]
-    val done = mutable.Set.empty[Int]
+  /** Point indices of the least-cost path from `s` to `g`. */
+  private[baselines] def shortestPath(s: Int, g: Int): Option[Array[Int]] = {
     // A*-style lower bound (straight-line meters to goal) keeps Dijkstra
     // from flooding the whole point graph on long lanes.
-    val goal = LatLng(lats(g), lons(g))
-    def h(i: Int): Double = Geo.haversineM(LatLng(lats(i), lons(i)), goal)
-    implicit val ord: Ordering[(Int, Double)] = Ordering.by[(Int, Double), Double](_._2).reverse
-    val queue = mutable.PriorityQueue((s, h(s)))
-    while (queue.nonEmpty) {
-      val (u, _) = queue.dequeue()
-      if (u == g) {
-        val path = mutable.ArrayBuffer(g)
-        while (path.last != s) path += prev(path.last)
-        return Some(path.reverse.toIndexedSeq)
-      }
-      if (!done.contains(u)) {
-        done += u
-        val ni = adjIdx(u); val nc = adjCost(u)
-        var k = 0
-        while (k < ni.length) {
-          val v = ni(k)
-          if (!done.contains(v)) {
-            val cand = dist(u) + nc(k)
-            if (cand < dist.getOrElse(v, Double.PositiveInfinity)) {
-              dist(v) = cand; prev(v) = u
-              queue.enqueue((v, cand + h(v)))
-            }
-          }
-          k += 1
-        }
-      }
-    }
-    None
+    val (gLat, gLon, gCos) = (lats(g), lons(g), cosLat(g))
+    Search.aStar(off, tgt, cost, i => Geo.haversineM(lats(i), lons(i), cosLat(i), gLat, gLon, gCos), s, g)
   }
+
+  /** Out-edges of point `u` as (target, cost), in stored order. */
+  private[baselines] def edges(u: Int): IndexedSeq[(Int, Double)] =
+    (off(u) until off(u + 1)).map(k => (tgt(k), cost(k)))
+
+  private[baselines] def point(i: Int): LatLng = LatLng(lats(i), lons(i))
 }
 
 object GTI {
@@ -178,6 +163,8 @@ object GTI {
       }
       adj(i) ++= cands.sortBy(_._2).take(maxCross)
     }
-    new GTI(lats, lons, adj.map(_.map(_._1).toArray), adj.map(_.map(_._2).toArray), rdDeg)
+    val off = adj.scanLeft(0)(_ + _.size)
+    val es  = adj.flatten
+    new GTI(lats, lons, off, es.map(_._1), es.map(_._2), rdDeg)
   }
 }

@@ -1,8 +1,5 @@
 package repro.core
 
-import repro.h3.HexGrid
-import scala.collection.mutable
-
 /** A* search over the motion graph (paper §3.3): finds the path between
   * two cells minimizing the number of cell transitions, with transition
   * frequency as a tie-break so that among equally short paths the most
@@ -11,49 +8,36 @@ import scala.collection.mutable
   * Edge cost = hex distance of the transition (>= 1) plus an epsilon
   * penalty shrinking with the transition count; the heuristic is the hex
   * grid distance to the goal, which never exceeds the summed hex
-  * distances along any path (triangle inequality) — admissible.
+  * distances along any path (triangle inequality) — admissible. The search
+  * itself is [[Search.aStar]] over the graph's CSR arrays.
   */
 object AStar {
 
-  private final case class QEntry(cell: Long, f: Double)
-  private implicit val qOrd: Ordering[QEntry] = Ordering.by[QEntry, Double](_.f).reverse
-
   /** Shortest cell path from `start` to `goal`, inclusive of both; None if
-    * the goal is unreachable in the graph.
+    * either is not a node or the goal is unreachable in the graph.
     */
   def shortestPath(g: MotionGraph, start: Long, goal: Long): Option[IndexedSeq[Long]] = {
     if (start == goal) return Some(IndexedSeq(start))
-    val dist  = mutable.Map(start -> 0.0)
-    val prev  = mutable.Map.empty[Long, Long]
-    val done  = mutable.Set.empty[Long]
-    val queue = mutable.PriorityQueue(QEntry(start, heuristic(start, goal)))
-    while (queue.nonEmpty) {
-      val cur = queue.dequeue()
-      if (cur.cell == goal) {
-        val path = mutable.ArrayBuffer(goal)
-        while (path.last != start) path += prev(path.last)
-        return Some(path.reverse.toIndexedSeq)
-      }
-      if (!done.contains(cur.cell)) {
-        done += cur.cell
-        for (e <- g.adjacency.getOrElse(cur.cell, IndexedSeq.empty) if !done.contains(e.to)) {
-          val cost = edgeCost(e)
-          val cand = dist(cur.cell) + cost
-          if (cand < dist.getOrElse(e.to, Double.PositiveInfinity)) {
-            dist(e.to) = cand
-            prev(e.to) = cur.cell
-            queue.enqueue(QEntry(e.to, cand + heuristic(e.to, goal)))
-          }
-        }
-      }
+    val s = g.indexOf(start); val t = g.indexOf(goal)
+    if (s < 0 || t < 0) None
+    else search(g, s, t).map(_.map(g.ids(_)).toIndexedSeq)
+  }
+
+  /** The same search on node indices of `g`. */
+  private[core] def search(g: MotionGraph, start: Int, goal: Int): Option[Array[Int]] = {
+    val (q, r) = (g.q, g.r)
+    val (gq, gr) = (q(goal), r(goal))
+    // Axial hex distance to the goal, as HexGrid.gridDistance.
+    val h = (i: Int) => {
+      val dq = q(i) - gq; val dr = r(i) - gr
+      ((math.abs(dq) + math.abs(dr) + math.abs(dq + dr)) / 2).toDouble
     }
-    None
+    Search.aStar(g.off, g.tgt, g.cost, h, start, goal)
   }
 
   /** Hex-distance edge cost with a frequency tie-break epsilon. */
-  def edgeCost(e: GraphEdge): Double =
-    math.max(1, e.dist).toDouble + 0.001 / (1.0 + e.transitions.toDouble)
+  def edgeCost(e: GraphEdge): Double = edgeCost(e.transitions, e.dist)
 
-  private def heuristic(cell: Long, goal: Long): Double =
-    HexGrid.gridDistance(cell, goal).toDouble
+  def edgeCost(transitions: Long, dist: Int): Double =
+    math.max(1, dist).toDouble + 0.001 / (1.0 + transitions.toDouble)
 }

@@ -27,7 +27,7 @@ object CellStats {
   }
 
   /** Per-cell node statistics: record count, distinct vessels, and median
-    * lon/lat/sog/cog (the data-driven `w` projection of §3.3).
+    * lon/lat (the data-driven `w` projection of §3.3).
     */
   def cellTable(trips: DataFrame, res: Int, exact: Boolean = false): DataFrame = {
     val vessels =
@@ -36,9 +36,7 @@ object CellStats {
       F.count(F.lit(1)).as("cnt"),
       vessels.as("vessels"),
       F.expr("percentile(lon, 0.5)").as("med_lon"),
-      F.expr("percentile(lat, 0.5)").as("med_lat"),
-      F.expr("percentile(sog, 0.5)").as("med_sog"),
-      F.expr("percentile(cog, 0.5)").as("med_cog"))
+      F.expr("percentile(lat, 0.5)").as("med_lat"))
   }
 
   /** Per-(lag_cl, cl) edge statistics: distinct-trip transition counts and

@@ -37,16 +37,14 @@ final class Habit(val graph: MotionGraph, val config: HabitConfig) extends Seria
     * including both gap endpoints.
     */
   def impute(from: LatLng, to: LatLng): IndexedSeq[LatLng] = {
-    val cellPath = for {
-      s <- graph.nearestNode(HexGrid.latLngToCell(from, config.res))
-      g <- graph.nearestNode(HexGrid.latLngToCell(to, config.res))
-      p <- AStar.shortestPath(graph, s, g)
-    } yield p
-    val mid: IndexedSeq[LatLng] = cellPath match {
-      case Some(cells) => cells.map {
-        c => config.projection match {
-          case Projection.Center => HexGrid.cellCenter(c)
-          case Projection.Median => graph.medianLatLng(c)
+    val s = graph.nearestIndex(HexGrid.latLngToCell(from, config.res))
+    val g = graph.nearestIndex(HexGrid.latLngToCell(to, config.res))
+    val path = if (s < 0 || g < 0) None else AStar.search(graph, s, g)
+    val mid: IndexedSeq[LatLng] = path match {
+      case Some(nodes) => nodes.toIndexedSeq.map {
+        i => config.projection match {
+          case Projection.Center => HexGrid.cellCenter(graph.ids(i))
+          case Projection.Median => LatLng(graph.medLat(i), graph.medLon(i))
         }
       }
       case None => IndexedSeq.empty

@@ -18,11 +18,19 @@ object Geo {
   @inline def toDeg(r: Double): Double = r * 180.0 / math.Pi
 
   /** Great-circle distance in meters between two positions. */
-  def haversineM(a: LatLng, b: LatLng): Double = {
-    val dLat = toRad(b.lat - a.lat)
-    val dLon = toRad(b.lon - a.lon)
-    val s = math.pow(math.sin(dLat / 2), 2) +
-      math.cos(toRad(a.lat)) * math.cos(toRad(b.lat)) * math.pow(math.sin(dLon / 2), 2)
+  def haversineM(a: LatLng, b: LatLng): Double = haversineM(a.lat, a.lon, b.lat, b.lon)
+
+  def haversineM(lat1: Double, lon1: Double, lat2: Double, lon2: Double): Double =
+    haversineM(lat1, lon1, math.cos(toRad(lat1)), lat2, lon2, math.cos(toRad(lat2)))
+
+  /** The same distance with each point's `cos(toRad(lat))` given, for
+    * callers that measure one point against many.
+    */
+  def haversineM(lat1: Double, lon1: Double, cos1: Double,
+                 lat2: Double, lon2: Double, cos2: Double): Double = {
+    val dLat = toRad(lat2 - lat1)
+    val dLon = toRad(lon2 - lon1)
+    val s = math.pow(math.sin(dLat / 2), 2) + cos1 * cos2 * math.pow(math.sin(dLon / 2), 2)
     2 * EarthRadiusM * math.asin(math.min(1.0, math.sqrt(s)))
   }
 

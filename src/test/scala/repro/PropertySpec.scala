@@ -69,6 +69,17 @@ class PropertySpec extends AnyFunSuite {
     }
   }
 
+  test("A* paths equal the reference boxed A* paths on 40 random graphs") {
+    val rnd = new Random(112)
+    for (trial <- 1 to 40) {
+      val g = randomGraph(rnd, 30)
+      val cells = g.nodes.keys.toIndexedSeq
+      for (s <- cells; t <- cells)
+        assert(AStar.shortestPath(g, s, t) == repro.core.ReferenceAStar.shortestPath(g, s, t),
+          s"trial $trial: $s -> $t")
+    }
+  }
+
   test("A* paths traverse only existing edges") {
     val rnd = new Random(102)
     for (_ <- 1 to 20) {

@@ -86,6 +86,16 @@ class GTISpec extends AnyFunSuite {
     assert(g1.edgeCount == g2.edgeCount)
   }
 
+  test("the shared A* kernel finds the reference Dijkstra's paths") {
+    val trips = (0 until 4).map(i => lane(i * 45.0))
+    val g = GTI.build(trips, rmM = 250, rdDeg = 1e-3)
+    val rnd = new scala.util.Random(5)
+    for (_ <- 1 to 300) {
+      val s = rnd.nextInt(g.nodeCount); val t = rnd.nextInt(g.nodeCount)
+      assert(g.shortestPath(s, t).map(_.toIndexedSeq) == ReferenceDijkstra.shortestPath(g, s, t), s"$s -> $t")
+    }
+  }
+
   test("trajectory edges are traversable in both sail directions") {
     val t = lane()
     val g = GTI.build(Seq(t), rmM = 10, rdDeg = 1e-6) // no cross edges

@@ -1,7 +1,9 @@
 package repro.core
 
+import java.util.concurrent.{Callable, Executors}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.h3.HexGrid
+import scala.util.Random
 
 /** A* unit tests on hand-built graphs. Cells are encoded directly from
   * axial coordinates, so adjacency and distances are exact by design.
@@ -21,6 +23,21 @@ class AStarSpec extends AnyFunSuite {
       from -> es.map(e => GraphEdge(e._1, e._2, e._3, HexGrid.gridDistance(e._1, e._2))).toIndexedSeq
     }
     new MotionGraph(Res, nodes, adj)
+  }
+
+  /** The full q x r axial lattice with neighbour edges of one frequency:
+    * every cost ties, so only the tie order picks among the many paths.
+    */
+  private def lattice(side: Int): MotionGraph = graph(for {
+    q <- 0 until side; r <- 0 until side
+    (dq, dr) <- Seq((1, 0), (0, 1), (1, -1), (-1, 0), (0, -1), (-1, 1))
+    if q + dq >= 0 && q + dq < side && r + dr >= 0 && r + dr < side
+  } yield (c(q, r), c(q + dq, r + dr), 2L))
+
+  private def randomPairs(g: MotionGraph, n: Int, seed: Long): IndexedSeq[(Long, Long)] = {
+    val rnd = new Random(seed)
+    val cells = g.nodes.keys.toIndexedSeq.sorted
+    IndexedSeq.fill(n)((cells(rnd.nextInt(cells.size)), cells(rnd.nextInt(cells.size))))
   }
 
   test("trivial: start equals goal") {
@@ -95,5 +112,56 @@ class AStarSpec extends AnyFunSuite {
     val g = graph(edges)
     val p = AStar.shortestPath(g, c(0, 0), c(9, 9)).get
     assert(p.size - 1 == HexGrid.gridDistance(c(0, 0), c(9, 9)))
+  }
+
+  test("contract: a start or goal that is not a node gives None") {
+    val g = graph(Seq((c(0, 0), c(1, 0), 5), (c(1, 0), c(2, 0), 5)))
+    assert(AStar.shortestPath(g, c(7, 7), c(2, 0)).isEmpty)
+    assert(AStar.shortestPath(g, c(0, 0), c(7, 7)).isEmpty)
+    assert(AStar.shortestPath(g, c(2, 0), c(2, 0)) == Some(IndexedSeq(c(2, 0))))
+  }
+
+  test("the map views give back the maps the graph was built from") {
+    val edges = Seq((c(0, 0), c(2, 0), 3L), (c(0, 0), c(1, 0), 9L), (c(0, 0), c(2, 0), 1L), (c(1, 0), c(0, 0), 4L))
+    val g = graph(edges)
+    assert(g.nodeCount == 3 && g.edgeCount == 4)
+    assert(g.adjacency(c(0, 0)).map(e => (e.to, e.transitions)) ==
+      IndexedSeq((c(2, 0), 3L), (c(1, 0), 9L), (c(2, 0), 1L)))
+    assert(!g.adjacency.contains(c(2, 0)))
+    assert(g.nodes(c(1, 0)) == GraphNode(c(1, 0), g.medianLatLng(c(1, 0)).lat, g.medianLatLng(c(1, 0)).lon, 10, 2))
+  }
+
+  test("tie-heavy lattice: the same paths as the reference A*") {
+    val g = lattice(12)
+    for ((s, t) <- randomPairs(g, 400, 7))
+      assert(AStar.shortestPath(g, s, t) == ReferenceAStar.shortestPath(g, s, t), s"$s -> $t")
+  }
+
+  test("4 threads querying at once get the serial paths") {
+    val g = lattice(16)
+    val pairs = randomPairs(g, 300, 8)
+    val serial = pairs.map { case (s, t) => AStar.shortestPath(g, s, t) }
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val tasks = (0 until 4).map { k =>
+        pool.submit(new Callable[IndexedSeq[Option[IndexedSeq[Long]]]] {
+          // Each thread walks the pairs from another offset.
+          def call() = pairs.indices.map { i =>
+            val j = (i + k * pairs.size / 4) % pairs.size
+            j -> AStar.shortestPath(g, pairs(j)._1, pairs(j)._2)
+          }.sortBy(_._1).map(_._2)
+        })
+      }
+      tasks.foreach(f => assert(f.get() == serial))
+    } finally pool.shutdown()
+  }
+
+  test("nearestNode's full scan takes a node at the least hex distance") {
+    val g = graph((0 until 6).map(i => (c(10 - i, i), c(i, 0), 1L)))
+    val far = c(0, 40)
+    val best = g.nodes.keys.map(HexGrid.gridDistance(far, _)).min
+    val got = g.nearestNode(far, maxRing = 0).get
+    assert(HexGrid.gridDistance(far, got) == best)
+    assert(got == g.nodes.keysIterator.minBy(HexGrid.gridDistance(far, _)))
   }
 }

@@ -71,4 +71,36 @@ class DTWSpec extends AnyFunSuite {
     // The corner sits ~33 km north of the cut; mean error is a large fraction.
     assert(e > 5000.0, s"got $e")
   }
+
+  /** The n x m matrix DTW that the rolling-row `DTW` replaced: (cost, length). */
+  private def matrixAlign(a: IndexedSeq[LatLng], b: IndexedSeq[LatLng]): (Double, Int) = {
+    val n = a.size; val m = b.size
+    val cost = Array.fill(n + 1, m + 1)(Double.PositiveInfinity)
+    val len  = Array.fill(n + 1, m + 1)(0)
+    cost(0)(0) = 0.0
+    for (i <- 1 to n; j <- 1 to m) {
+      val d = Geo.haversineM(a(i - 1), b(j - 1))
+      val c1 = cost(i - 1)(j); val c2 = cost(i)(j - 1); val c3 = cost(i - 1)(j - 1)
+      val (pc, pl) =
+        if (c3 <= c1 && c3 <= c2) (c3, len(i - 1)(j - 1))
+        else if (c1 <= c2) (c1, len(i - 1)(j))
+        else (c2, len(i)(j - 1))
+      cost(i)(j) = d + pc
+      len(i)(j) = pl + 1
+    }
+    (cost(n)(m), len(n)(m))
+  }
+
+  test("rolling rows give the matrix DTW's scores bit for bit") {
+    val rnd = new scala.util.Random(21)
+    def walk(n: Int) = IndexedSeq.iterate(LatLng(55 + rnd.nextDouble(), 11 + rnd.nextDouble()), n)(p =>
+      LatLng(p.lat + rnd.nextGaussian() * 0.003, p.lon + rnd.nextGaussian() * 0.003))
+    // Equal-distance lattices make the diagonal/up/left ties common.
+    val ties = Seq((line(12), line(12, 55.001)), (line(7), line(19)), (line(1), line(5)))
+    for ((a, b) <- ties ++ Seq.fill(60)((walk(1 + rnd.nextInt(40)), walk(1 + rnd.nextInt(40))))) {
+      val (c, steps) = matrixAlign(a, b)
+      assert(DTW.cost(a, b) == c)
+      assert(DTW.normalized(a, b) == c / steps)
+    }
+  }
 }
