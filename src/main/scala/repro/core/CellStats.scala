@@ -17,10 +17,13 @@ import org.apache.spark.sql.expressions.Window
 object CellStats {
 
   /** Assign each report its cell `cl` and predecessor cell `lag_cl` along
-    * the trip sequence. Requires HexGrid UDFs registered.
+    * the trip sequence. Requires HexGrid UDFs registered. The window is
+    * keyed by (vessel_id, trip_id), the same groups as trip_id alone since
+    * trip_id determines vessel_id, so trips hash-partitioned by vessel_id
+    * (as [[repro.exp.Prep.prepare]] caches them) are not shuffled again.
     */
   def withCells(trips: DataFrame, res: Int): DataFrame = {
-    val w = Window.partitionBy("trip_id").orderBy("t")
+    val w = Window.partitionBy("vessel_id", "trip_id").orderBy("t")
     trips
       .withColumn("cl", F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(res)))
       .withColumn("lag_cl", F.lag("cl", 1).over(w))

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.Arrays
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.geo.LatLng
 import repro.h3.HexGrid
 
@@ -17,8 +17,9 @@ final case class GraphEdge(from: Long, to: Long, transitions: Long, dist: Int)
 /** Stored as int-indexed arrays. Node `i` is the cell `ids(i)` (ids
   * sorted, so a binary search maps a cell to its index); its out-edges
   * are the CSR slots `off(i) until off(i + 1)` of `tgt` (target index),
-  * `transitions`, `dist` and `cost` (the A* edge cost), in the order the
-  * edge rows arrived.
+  * `transitions`, `dist` and `cost` (the A* edge cost), ordered by target
+  * index. The order is canonical: it does not depend on how the edge rows
+  * arrived, so A*'s choice among equal-cost paths does not either.
   */
 final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends Serializable {
 
@@ -37,9 +38,8 @@ final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends S
   private[core] val q: Array[Int] = ids.map(HexGrid.axialQ)
   private[core] val r: Array[Int] = ids.map(HexGrid.axialR)
 
-  /** A graph from node and adjacency maps (hand-built graphs). Edges keep
-    * their order within each adjacency list; edges whose endpoints are not
-    * nodes are dropped, as in [[MotionGraph.fromTables]].
+  /** A graph from node and adjacency maps (hand-built graphs). Edges whose
+    * endpoints are not nodes are dropped, as in [[MotionGraph.fromTables]].
     */
   def this(res: Int, nodes: Map[Long, GraphNode], adjacency: Map[Long, IndexedSeq[GraphEdge]]) =
     this(res, MotionGraph.columns(nodes.values.toArray, adjacency.valuesIterator.flatten.toArray))
@@ -68,9 +68,9 @@ final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends S
     if (i >= 0) LatLng(medLat(i), medLon(i)) else HexGrid.cellCenter(cell)
   }
 
-  /** Nearest graph node to `cell`: expanding k-ring search (cheap, local;
-    * ties go to the smallest cell id), falling back to a full scan by hex
-    * distance for far-off cells.
+  /** Nearest graph node to `cell`: expanding k-ring search (cheap, local),
+    * falling back to a full scan by hex distance for far-off cells. Ties go
+    * to the smallest cell id in both.
     */
   def nearestNode(cell: Long, maxRing: Int = 16): Option[Long] = {
     val i = nearestIndex(cell, maxRing)
@@ -91,9 +91,8 @@ final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends S
       if (best >= 0) return best
       k += 1
     }
-    // Full scan. Ties go to the first node in `nodes` order, the rule of
-    // the former map layout; the smallest id would change SAR paths.
-    if (ids.isEmpty) -1 else indexOf(nodes.keysIterator.minBy(c => HexGrid.gridDistance(cell, c)))
+    // Full scan; `minBy` keeps the first, so the smallest id, among ties.
+    if (ids.isEmpty) -1 else ids.indices.minBy(i => HexGrid.gridDistance(cell, ids(i)))
   }
 
   /** Serialized footprint in bytes — the Table 2 storage metric. */
@@ -131,22 +130,31 @@ object MotionGraph {
                CellStats.edgeTable(trips, res, exact), res)
   }
 
-  /** Assemble a graph from already-computed cell/edge aggregate tables. */
+  /** Assemble a graph from already-computed cell/edge aggregate tables.
+    * Both are collected in one Spark job, a union of the node and edge
+    * rows told apart by a tag, so their shuffle stages run side by side.
+    */
   def fromTables(cellDf: DataFrame, edgeDf: DataFrame, res: Int): MotionGraph = {
-    val n = cellDf.select("cl", "med_lat", "med_lon", "cnt", "vessels").collect()
-    val e = edgeDf.select("lag_cl", "cl", "transitions", "dist").collect()
+    val nodeRows = cellDf.select(F.lit(false).as("edge"), F.col("cl").as("cell"),
+      F.col("med_lat"), F.col("med_lon"), F.col("cnt"), F.col("vessels"))
+    val edgeRows = edgeDf.select(F.lit(true).as("edge"), F.col("lag_cl").as("cell"), F.col("cl").as("to"),
+      F.col("transitions").as("cnt"), F.col("dist"))
+    val (e, n) = nodeRows.unionByName(edgeRows, allowMissingColumns = true)
+      .select("edge", "cell", "to", "med_lat", "med_lon", "cnt", "vessels", "dist")
+      .collect().partition(_.getBoolean(0))
     new MotionGraph(res, assemble(
-      n.map(_.getLong(0)), n.map(_.getDouble(1)), n.map(_.getDouble(2)), n.map(_.getLong(3)), n.map(_.getLong(4)),
-      e.map(_.getLong(0)), e.map(_.getLong(1)), e.map(_.getLong(2)), e.map(_.getInt(3))))
+      n.map(_.getLong(1)), n.map(_.getDouble(3)), n.map(_.getDouble(4)), n.map(_.getLong(5)), n.map(_.getLong(6)),
+      e.map(_.getLong(1)), e.map(_.getLong(2)), e.map(_.getLong(5)), e.map(_.getInt(7))))
   }
 
   private def columns(ns: Array[GraphNode], es: Array[GraphEdge]): Columns =
     assemble(ns.map(_.cell), ns.map(_.medLat), ns.map(_.medLon), ns.map(_.cnt), ns.map(_.vessels),
              es.map(_.from), es.map(_.to), es.map(_.transitions), es.map(_.dist))
 
-  /** Node rows in any order and edge rows in arrival order → sorted nodes
-    * and CSR edges. Edges keep their arrival order within each source
-    * node; edges whose endpoints are not nodes are dropped.
+  /** Node and edge rows in any order → sorted nodes and CSR edges, each
+    * node's edges ordered by target index (edges with the same source and
+    * target keep their arrival order); edges whose endpoints are not nodes
+    * are dropped.
     */
   private def assemble(cells: Array[Long], lat: Array[Double], lon: Array[Double],
                        cnt: Array[Long], vessels: Array[Long],
@@ -176,15 +184,14 @@ object MotionGraph {
     i = 0
     while (i < n) { off(i + 1) += off(i); i += 1 }
     val kept = off(n)
+    // Filling the CSR slots in target order (a stable sort) leaves each
+    // node's edges ordered by target.
+    val order = (0 until m).filter(src(_) >= 0).sortBy(dst(_))
     val (tgt, sTrans, sDist) = (new Array[Int](kept), new Array[Long](kept), new Array[Int](kept))
     val fill = Arrays.copyOf(off, n)
-    k = 0
-    while (k < m) {
-      if (src(k) >= 0) {
-        val slot = fill(src(k)); fill(src(k)) += 1
-        tgt(slot) = dst(k); sTrans(slot) = trans(k); sDist(slot) = dist(k)
-      }
-      k += 1
+    for (e <- order) {
+      val slot = fill(src(e)); fill(src(e)) += 1
+      tgt(slot) = dst(e); sTrans(slot) = trans(e); sDist(slot) = dist(e)
     }
     new Columns(ids, sLat, sLon, sCnt, sVes, off, tgt, sTrans, sDist)
   }

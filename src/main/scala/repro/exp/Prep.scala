@@ -32,8 +32,12 @@ object Prep {
     }
   }
 
+  /** Clean and segment `raw`. Only the trips are cached: they keep the
+    * one vessel_id shuffle of [[Cleaner.clean]], which every later window
+    * and aggregate input of the build reuses.
+    */
   def prepare(name: String, raw: DataFrame): Prepared = {
-    val cleaned = Cleaner.clean(raw).cache()
+    val cleaned = Cleaner.clean(raw)
     val trips   = TripSegmenter.segment(cleaned).cache()
     Prepared(name, raw, cleaned, trips)
   }

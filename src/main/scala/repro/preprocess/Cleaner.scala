@@ -23,6 +23,10 @@ object Cleaner {
       F.col("lon").between(-180.0, 180.0) &&
       F.col("sog").between(0.0, 80.0) &&
       F.col("cog").between(0.0, 360.0))
+      // The build's one shuffle: every later window, here and in
+      // TripSegmenter and CellStats, is keyed by vessel_id (and finer
+      // keys), so this partitioning serves them all without an exchange.
+      .repartition(F.col("vessel_id"))
 
     // Exact and same-timestamp duplicates: keep one report per (vessel, t).
     val dedup = valid

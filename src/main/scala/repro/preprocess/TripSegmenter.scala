@@ -19,9 +19,11 @@ object TripSegmenter {
   final case class Params(stopSpeedKn: Double = 0.5, gapSec: Long = 1800,
                           refRes: Int = 8, minPoints: Int = 10)
 
-  /** Segment cleaned AIS into trips: adds a `trip_id` column and keeps only
-    * in-trip (moving) reports. Requires the `h3_cell` UDF registered
-    * (HexGrid.registerUdfs) for the tiny-trip exclusion.
+  /** Segment cleaned AIS into trips: adds a `trip_id` column (first) and
+    * keeps only in-trip (moving) reports. Requires the `h3_cell` UDF
+    * registered (HexGrid.registerUdfs) for the tiny-trip exclusion. Every
+    * window is keyed by vessel_id, so input hash-partitioned by vessel_id
+    * (as [[Cleaner.clean]] returns it) is not shuffled again.
     */
   def segment(cleaned: DataFrame, params: Params = Params()): DataFrame = {
     val w = Window.partitionBy("vessel_id").orderBy("t")
@@ -40,13 +42,16 @@ object TripSegmenter {
       .drop("_stopped", "_dt", "_prevStopped", "_boundary", "_seq")
 
     // Tiny-trip exclusion: local displacements within <= 2 adjacent cells
-    // at the reference resolution carry no routing information.
-    val withCell = withTrip.withColumn("_rcl",
-      F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(params.refRes)))
-    val keep = withCell.groupBy("trip_id").agg(
-      F.countDistinct("_rcl").as("_ncells"), F.count(F.lit(1)).as("_npts"))
+    // at the reference resolution carry no routing information. A window
+    // over (vessel_id, trip_id) reuses the input's vessel_id partitioning
+    // (trip_id determines vessel_id), where a group-by and join would
+    // shuffle twice.
+    val wt = Window.partitionBy("vessel_id", "trip_id")
+    val rcl = F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(params.refRes))
+    withTrip
+      .withColumn("_ncells", F.size(F.collect_set(rcl).over(wt)))
+      .withColumn("_npts", F.count(F.lit(1)).over(wt))
       .filter(F.col("_ncells") > 2 && F.col("_npts") >= params.minPoints)
-      .select("trip_id")
-    withCell.join(keep, Seq("trip_id")).drop("_rcl")
+      .select("trip_id", cleaned.columns.toIndexedSeq: _*)
   }
 }

@@ -5,7 +5,9 @@ import scala.collection.mutable
 
 /** The boxed A* that [[AStar]] replaced, kept as the reference for the
   * differential tests: maps for distances and predecessors, a case-class
-  * `mutable.PriorityQueue`, and the graph's adjacency map view.
+  * `mutable.PriorityQueue`, and the graph's adjacency map view with each
+  * list put in the canonical order (by target cell) here, whatever order
+  * the graph stores.
   */
 object ReferenceAStar {
 
@@ -27,7 +29,8 @@ object ReferenceAStar {
       }
       if (!done.contains(cur.cell)) {
         done += cur.cell
-        for (e <- g.adjacency.getOrElse(cur.cell, IndexedSeq.empty) if !done.contains(e.to)) {
+        val out = g.adjacency.getOrElse(cur.cell, IndexedSeq.empty).sortBy(_.to)
+        for (e <- out if !done.contains(e.to)) {
           val cost = AStar.edgeCost(e)
           val cand = dist(cur.cell) + cost
           if (cand < dist.getOrElse(e.to, Double.PositiveInfinity)) {

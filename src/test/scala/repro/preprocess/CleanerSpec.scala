@@ -77,6 +77,25 @@ class CleanerSpec extends AnyFunSuite with SparkSpec {
     assert(once.collect().toSet == twice.collect().toSet)
   }
 
+  test("the edge cases above: the same rows as the reference cleaner") {
+    val cases = Seq(
+      Seq(rec(0, 55.0, 12.0), rec(60, 95.0, 200.0), rec(120, 55.005, 12.0)),
+      Seq(rec(0, 55.0, 181.0)),
+      Seq(rec(0, 55, 12, sog = -1.0), rec(0, 55, 12, sog = 120.0), rec(0, 55, 12, cog = 400.0)),
+      Seq(rec(0, 55.0, 12.0), rec(0, 55.0, 12.0), rec(60, 55.005, 12.0)),
+      Seq(rec(0, 55.0, 12.0), rec(0, 55.001, 12.001), rec(60, 55.005, 12.0)),
+      Seq(rec(0, 55.0, 12.0), rec(60, 55.5, 12.0), rec(120, 55.01, 12.0)),
+      (0 to 20).map(i => rec(i * 60L, 55.0 + i * 0.005, 12.0)),
+      Seq(rec(0, 55.0, 12.0, v = 1), rec(60, 55.005, 12.0, v = 1),
+          rec(0, 95.0, 12.0, v = 2), rec(60, 37.9, 23.6, v = 2)),
+      Seq(rec(120, 55.01, 12.0), rec(0, 55.0, 12.0), rec(60, 55.005, 12.0, v = 3), rec(0, 55.0, 12.0)))
+    for (rows <- cases) {
+      val got = Cleaner.clean(df(rows)).collect()
+      assert(got.length == got.toSet.size)
+      assert(got.toSet == ReferenceCleaner.clean(df(rows)).collect().toSet, rows)
+    }
+  }
+
   test("oracle: dedup + validity filter agrees with DuckDB") {
     import org.apache.spark.sql.functions._
     val rows = Seq(rec(0, 55.0, 12.0), rec(0, 55.0, 12.0), rec(60, 95.0, 200.0),
