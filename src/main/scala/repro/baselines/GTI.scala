@@ -14,26 +14,18 @@ import scala.collection.mutable
   * gap endpoints. The edges are stored in CSR form: the out-edges of point
   * `u` are the slots `off(u) until off(u + 1)` of `tgt` and `cost`.
   *
-  * Per-point cross-trajectory edges are capped (`maxCross`) so dense lanes
+  * Per-point cross-trajectory edges are capped (`MaxCross`) so dense lanes
   * stay computable at bench scale; the cap is far above what the sparse
   * configurations produce, so the paper's size-vs-rd explosion (Table 2)
-  * is preserved.
+  * is preserved. `bucket` holds the indices of the points in each rd × rd
+  * bucket, in index order: the build finds cross edges with it, and
+  * snapping searches it.
   */
 final class GTI private (lats: Array[Double], lons: Array[Double],
                          off: Array[Int], tgt: Array[Int], cost: Array[Double],
-                         rdDeg: Double) extends Serializable {
+                         rdDeg: Double, bucket: Map[(Long, Long), Array[Int]]) extends Serializable {
 
   private val cosLat: Array[Double] = lats.map(lat => math.cos(Geo.toRad(lat)))
-
-  private val bucket: Map[(Long, Long), Array[Int]] = {
-    val m = mutable.Map.empty[(Long, Long), mutable.ArrayBuffer[Int]]
-    var i = 0
-    while (i < lats.length) {
-      m.getOrElseUpdate(GTI.key(lats(i), lons(i), rdDeg), mutable.ArrayBuffer.empty) += i
-      i += 1
-    }
-    m.view.mapValues(_.toArray).toMap
-  }
 
   def nodeCount: Int = lats.length
   def edgeCount: Int = tgt.length
@@ -110,14 +102,16 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
 }
 
 object GTI {
+  /** Cross-trajectory edges kept per point, the nearest first. */
+  private val MaxCross = 16
+
   private def key(lat: Double, lon: Double, rd: Double): (Long, Long) =
     (math.floor(lat / rd).toLong, math.floor(lon / rd).toLong)
 
   /** Build a GTI model from training trips: each trip is an ordered point
     * sequence (the harness supplies them post-segmentation).
     */
-  def build(trips: Seq[IndexedSeq[LatLng]], rmM: Double, rdDeg: Double,
-            maxCross: Int = 16): GTI = {
+  def build(trips: Seq[IndexedSeq[LatLng]], rmM: Double, rdDeg: Double): GTI = {
     val pts  = trips.flatten.toIndexedSeq
     val lats = pts.map(_.lat).toArray
     val lons = pts.map(_.lon).toArray
@@ -141,9 +135,7 @@ object GTI {
     }
 
     // (b) cross-trajectory proximity edges within rd degrees and rm meters.
-    val buckets = mutable.Map.empty[(Long, Long), mutable.ArrayBuffer[Int]]
-    for (i <- 0 until n)
-      buckets.getOrElseUpdate(key(lats(i), lons(i), rdDeg), mutable.ArrayBuffer.empty) += i
+    val buckets = (0 until n).groupBy(i => key(lats(i), lons(i), rdDeg)).view.mapValues(_.toArray).toMap
     for (i <- 0 until n) {
       val (bq, br) = key(lats(i), lons(i), rdDeg)
       val cands = mutable.ArrayBuffer.empty[(Int, Double)]
@@ -151,7 +143,7 @@ object GTI {
       while (dq <= 1) {
         var dr = -1
         while (dr <= 1) {
-          for (j <- buckets.getOrElse((bq + dq, br + dr), mutable.ArrayBuffer.empty) if j != i) {
+          for (j <- buckets.getOrElse((bq + dq, br + dr), Array.empty[Int]) if j != i) {
             if (math.abs(lats(j) - lats(i)) <= rdDeg && math.abs(lons(j) - lons(i)) <= rdDeg) {
               val d = Geo.haversineM(pts(i), pts(j))
               if (d <= rmM) cands += ((j, d))
@@ -161,10 +153,10 @@ object GTI {
         }
         dq += 1
       }
-      adj(i) ++= cands.sortBy(_._2).take(maxCross)
+      adj(i) ++= cands.sortBy(_._2).take(MaxCross)
     }
     val off = adj.scanLeft(0)(_ + _.size)
     val es  = adj.flatten
-    new GTI(lats, lons, off, es.map(_._1), es.map(_._2), rdDeg)
+    new GTI(lats, lons, off, es.map(_._1), es.map(_._2), rdDeg, buckets)
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.h3.HexGrid
+
 /** A* search over the motion graph (paper §3.3): finds the path between
   * two cells minimizing the number of cell transitions, with transition
   * frequency as a tie-break so that among equally short paths the most
@@ -8,7 +10,8 @@ package repro.core
   * Edge cost = hex distance of the transition (>= 1) plus an epsilon
   * penalty shrinking with the transition count; the heuristic is the hex
   * grid distance to the goal, which never exceeds the summed hex
-  * distances along any path (triangle inequality) — admissible. The search
+  * distances along any path (triangle inequality) — admissible, since the
+  * graph derives each edge's distance with the same formula. The search
   * itself is [[Search.aStar]] over the graph's CSR arrays.
   */
 object AStar {
@@ -27,11 +30,7 @@ object AStar {
   private[core] def search(g: MotionGraph, start: Int, goal: Int): Option[Array[Int]] = {
     val (q, r) = (g.q, g.r)
     val (gq, gr) = (q(goal), r(goal))
-    // Axial hex distance to the goal, as HexGrid.gridDistance.
-    val h = (i: Int) => {
-      val dq = q(i) - gq; val dr = r(i) - gr
-      ((math.abs(dq) + math.abs(dr) + math.abs(dq + dr)) / 2).toDouble
-    }
+    val h = (i: Int) => HexGrid.axialDistance(q(i) - gq, r(i) - gr).toDouble
     Search.aStar(g.off, g.tgt, g.cost, h, start, goal)
   }
 

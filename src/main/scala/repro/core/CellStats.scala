@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.Window
+import repro.h3.HexGrid
 
 /** The paper's §3.2 aggregation dataflow, expressed as Spark DataFrame
   * transformations (the paper uses a DuckDB CTE; semantics identical and
@@ -17,15 +18,15 @@ import org.apache.spark.sql.expressions.Window
 object CellStats {
 
   /** Assign each report its cell `cl` and predecessor cell `lag_cl` along
-    * the trip sequence. Requires HexGrid UDFs registered. The window is
-    * keyed by (vessel_id, trip_id), the same groups as trip_id alone since
-    * trip_id determines vessel_id, so trips hash-partitioned by vessel_id
-    * (as [[repro.exp.Prep.prepare]] caches them) are not shuffled again.
+    * the trip sequence. The window is keyed by (vessel_id, trip_id), the
+    * same groups as trip_id alone since trip_id determines vessel_id, so
+    * trips hash-partitioned by vessel_id (as [[repro.exp.Prep.prepare]]
+    * caches them) are not shuffled again.
     */
   def withCells(trips: DataFrame, res: Int): DataFrame = {
     val w = Window.partitionBy("vessel_id", "trip_id").orderBy("t")
     trips
-      .withColumn("cl", F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(res)))
+      .withColumn("cl", HexGrid.cellOf(F.col("lat"), F.col("lon"), F.lit(res)))
       .withColumn("lag_cl", F.lag("cl", 1).over(w))
   }
 
@@ -42,8 +43,9 @@ object CellStats {
       F.expr("percentile(lat, 0.5)").as("med_lat"))
   }
 
-  /** Per-(lag_cl, cl) edge statistics: distinct-trip transition counts and
-    * the hex-grid distance of the transition. Self-transitions excluded.
+  /** Per-(lag_cl, cl) edge statistics: distinct-trip transition counts.
+    * Self-transitions excluded. The hex distance of a transition follows
+    * from its two cells; the graph derives it ([[GraphEdge.dist]]).
     */
   def edgeTable(trips: DataFrame, res: Int, exact: Boolean = false): DataFrame = {
     val transitions =
@@ -51,6 +53,5 @@ object CellStats {
     withCells(trips, res)
       .filter(F.col("lag_cl").isNotNull && F.col("lag_cl") =!= F.col("cl"))
       .groupBy("lag_cl", "cl").agg(transitions.as("transitions"))
-      .withColumn("dist", F.call_udf("h3_dist", F.col("lag_cl"), F.col("cl")))
   }
 }

@@ -7,42 +7,46 @@ import repro.h3.HexGrid
 
 /** The weighted maritime-network graph of paper §3.2, assembled from the
   * CellStats aggregates. Nodes are H3 cells carrying median position and
-  * traffic counts; directed edges carry distinct-trip transition counts
-  * and the hex distance between the two cells.
+  * traffic counts; directed edges carry distinct-trip transition counts,
+  * and their hex distance follows from the two cells.
   */
 final case class GraphNode(cell: Long, medLat: Double, medLon: Double,
                            cnt: Long, vessels: Long)
-final case class GraphEdge(from: Long, to: Long, transitions: Long, dist: Int)
+final case class GraphEdge(from: Long, to: Long, transitions: Long) {
+  /** Hex distance of the transition. */
+  def dist: Int = HexGrid.gridDistance(from, to)
+}
 
 /** Stored as int-indexed arrays. Node `i` is the cell `ids(i)` (ids
   * sorted, so a binary search maps a cell to its index); its out-edges
   * are the CSR slots `off(i) until off(i + 1)` of `tgt` (target index),
   * `transitions`, `dist` and `cost` (the A* edge cost), ordered by target
   * index. The order is canonical: it does not depend on how the edge rows
-  * arrived, so A*'s choice among equal-cost paths does not either.
+  * arrived, so A*'s choice among equal-cost paths does not either. `dist`
+  * is derived from the cells' axial coordinates with the formula of the
+  * A* heuristic, so the heuristic is admissible by construction.
   */
-final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends Serializable {
+final class MotionGraph private (val res: Int,
+                                 private[core] val ids: Array[Long],
+                                 private[core] val medLat: Array[Double],
+                                 private[core] val medLon: Array[Double],
+                                 private[core] val cnt: Array[Long],
+                                 private[core] val vessels: Array[Long],
+                                 private[core] val off: Array[Int],
+                                 private[core] val tgt: Array[Int],
+                                 private[core] val transitions: Array[Long]) extends Serializable {
 
-  private[core] val ids: Array[Long]           = c.ids
-  private[core] val medLat: Array[Double]      = c.medLat
-  private[core] val medLon: Array[Double]      = c.medLon
-  private[core] val cnt: Array[Long]           = c.cnt
-  private[core] val vessels: Array[Long]       = c.vessels
-  private[core] val off: Array[Int]            = c.off
-  private[core] val tgt: Array[Int]            = c.tgt
-  private[core] val transitions: Array[Long]   = c.transitions
-  private[core] val dist: Array[Int]           = c.dist
-  private[core] val cost: Array[Double]        =
-    Array.tabulate(tgt.length)(k => AStar.edgeCost(transitions(k), dist(k)))
-  // Axial coordinates of each node, for the A* heuristic.
+  // Axial coordinates of each node, for the edge distances and the A* heuristic.
   private[core] val q: Array[Int] = ids.map(HexGrid.axialQ)
   private[core] val r: Array[Int] = ids.map(HexGrid.axialR)
-
-  /** A graph from node and adjacency maps (hand-built graphs). Edges whose
-    * endpoints are not nodes are dropped, as in [[MotionGraph.fromTables]].
-    */
-  def this(res: Int, nodes: Map[Long, GraphNode], adjacency: Map[Long, IndexedSeq[GraphEdge]]) =
-    this(res, MotionGraph.columns(nodes.values.toArray, adjacency.valuesIterator.flatten.toArray))
+  private[core] val dist: Array[Int] = {
+    val d = new Array[Int](tgt.length)
+    for (i <- ids.indices; k <- off(i) until off(i + 1))
+      d(k) = HexGrid.axialDistance(q(tgt(k)) - q(i), r(tgt(k)) - r(i))
+    d
+  }
+  private[core] val cost: Array[Double] =
+    Array.tabulate(tgt.length)(k => AStar.edgeCost(transitions(k), dist(k)))
 
   def edgeCount: Int = tgt.length
   def nodeCount: Int = ids.length
@@ -57,7 +61,7 @@ final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends S
     ids.indices.iterator.map(i => ids(i) -> GraphNode(ids(i), medLat(i), medLon(i), cnt(i), vessels(i))).toMap
   lazy val adjacency: Map[Long, IndexedSeq[GraphEdge]] =
     ids.indices.iterator.filter(i => off(i + 1) > off(i)).map { i =>
-      ids(i) -> (off(i) until off(i + 1)).map(k => GraphEdge(ids(i), ids(tgt(k)), transitions(k), dist(k)))
+      ids(i) -> (off(i) until off(i + 1)).map(k => GraphEdge(ids(i), ids(tgt(k)), transitions(k)))
     }.toMap
 
   /** Median-based coordinates of a cell (projection p = w), falling back
@@ -68,21 +72,23 @@ final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends S
     if (i >= 0) LatLng(medLat(i), medLon(i)) else HexGrid.cellCenter(cell)
   }
 
-  /** Nearest graph node to `cell`: expanding k-ring search (cheap, local),
-    * falling back to a full scan by hex distance for far-off cells. Ties go
-    * to the smallest cell id in both.
+  /** Nearest graph node to `cell`: the node at the least hex distance, the
+    * smallest cell id among ties.
     */
-  def nearestNode(cell: Long, maxRing: Int = 16): Option[Long] = {
-    val i = nearestIndex(cell, maxRing)
+  def nearestNode(cell: Long): Option[Long] = {
+    val i = nearestIndex(cell)
     if (i < 0) None else Some(ids(i))
   }
 
-  /** Index of the node [[nearestNode]] picks; -1 on an empty graph. */
-  def nearestIndex(cell: Long, maxRing: Int = 16): Int = {
+  /** Index of the node [[nearestNode]] picks; -1 on an empty graph. An
+    * expanding k-ring search (cheap, local) up to `MaxRing` rings, then a
+    * full scan; both take the least index, so the smallest id, among ties.
+    */
+  def nearestIndex(cell: Long): Int = {
     val self = indexOf(cell)
     if (self >= 0) return self
     var k = 1
-    while (k <= maxRing) {
+    while (k <= MotionGraph.MaxRing) {
       var best = -1
       for (c <- HexGrid.ring(cell, k)) {
         val i = indexOf(c)
@@ -115,11 +121,36 @@ final class MotionGraph private (val res: Int, c: MotionGraph.Columns) extends S
 
 object MotionGraph {
 
-  /** The stored arrays of a graph, before the derived ones. */
-  private[core] final class Columns(val ids: Array[Long], val medLat: Array[Double], val medLon: Array[Double],
-                              val cnt: Array[Long], val vessels: Array[Long],
-                              val off: Array[Int], val tgt: Array[Int],
-                              val transitions: Array[Long], val dist: Array[Int])
+  /** Rings searched around an off-graph cell before the full scan. The
+    * result does not depend on it: both pick the same node.
+    */
+  private val MaxRing = 16
+
+  /** The graph of node and edge rows in any order: nodes sorted by cell,
+    * each node's edges ordered by target (edges with the same source and
+    * target keep their order). Edges whose endpoints are not nodes are
+    * dropped. Every cell must be at resolution `res`.
+    */
+  def apply(res: Int, nodes: Seq[GraphNode], edges: Seq[GraphEdge]): MotionGraph = {
+    val ns  = nodes.sortBy(_.cell).toArray
+    val ids = ns.map(_.cell)
+    for (i <- ids.indices) {
+      require(HexGrid.resolution(ids(i)) == res, s"node ${ids(i)} is not at resolution $res")
+      require(i == 0 || ids(i) != ids(i - 1), s"duplicate node ${ids(i)}")
+    }
+    // Each kept edge as its (source, target) index pair packed in one key;
+    // a stable sort by key gives the CSR order.
+    val n = ids.length.toLong
+    val kept = edges.flatMap { e =>
+      val (s, t) = (Arrays.binarySearch(ids, e.from), Arrays.binarySearch(ids, e.to))
+      if (s >= 0 && t >= 0) Some((s * n + t, e.transitions)) else None
+    }.sortBy(_._1)
+    val off = new Array[Int](ids.length + 1)
+    for ((key, _) <- kept) off((key / n).toInt + 1) += 1
+    for (i <- ids.indices) off(i + 1) += off(i)
+    new MotionGraph(res, ids, ns.map(_.medLat), ns.map(_.medLon), ns.map(_.cnt), ns.map(_.vessels),
+                    off, kept.map(e => (e._1 % n).toInt).toArray, kept.map(_._2).toArray)
+  }
 
   /** Build from segmented trips via the CellStats dataflow (distributed
     * aggregation, then collect of the small aggregate — mirrors the
@@ -138,61 +169,11 @@ object MotionGraph {
     val nodeRows = cellDf.select(F.lit(false).as("edge"), F.col("cl").as("cell"),
       F.col("med_lat"), F.col("med_lon"), F.col("cnt"), F.col("vessels"))
     val edgeRows = edgeDf.select(F.lit(true).as("edge"), F.col("lag_cl").as("cell"), F.col("cl").as("to"),
-      F.col("transitions").as("cnt"), F.col("dist"))
+      F.col("transitions").as("cnt"))
     val (e, n) = nodeRows.unionByName(edgeRows, allowMissingColumns = true)
-      .select("edge", "cell", "to", "med_lat", "med_lon", "cnt", "vessels", "dist")
-      .collect().partition(_.getBoolean(0))
-    new MotionGraph(res, assemble(
-      n.map(_.getLong(1)), n.map(_.getDouble(3)), n.map(_.getDouble(4)), n.map(_.getLong(5)), n.map(_.getLong(6)),
-      e.map(_.getLong(1)), e.map(_.getLong(2)), e.map(_.getLong(5)), e.map(_.getInt(7))))
-  }
-
-  private def columns(ns: Array[GraphNode], es: Array[GraphEdge]): Columns =
-    assemble(ns.map(_.cell), ns.map(_.medLat), ns.map(_.medLon), ns.map(_.cnt), ns.map(_.vessels),
-             es.map(_.from), es.map(_.to), es.map(_.transitions), es.map(_.dist))
-
-  /** Node and edge rows in any order → sorted nodes and CSR edges, each
-    * node's edges ordered by target index (edges with the same source and
-    * target keep their arrival order); edges whose endpoints are not nodes
-    * are dropped.
-    */
-  private def assemble(cells: Array[Long], lat: Array[Double], lon: Array[Double],
-                       cnt: Array[Long], vessels: Array[Long],
-                       from: Array[Long], to: Array[Long], trans: Array[Long], dist: Array[Int]): Columns = {
-    val n = cells.length
-    val ids = cells.clone()
-    Arrays.sort(ids)
-    for (i <- 1 until n) require(ids(i) != ids(i - 1), s"duplicate node ${ids(i)}")
-    val (sLat, sLon) = (new Array[Double](n), new Array[Double](n))
-    val (sCnt, sVes) = (new Array[Long](n), new Array[Long](n))
-    var i = 0
-    while (i < n) {
-      val j = Arrays.binarySearch(ids, cells(i))
-      sLat(j) = lat(i); sLon(j) = lon(i); sCnt(j) = cnt(i); sVes(j) = vessels(i)
-      i += 1
-    }
-    // Keep only edges whose endpoints have node statistics.
-    val m = from.length
-    val src = new Array[Int](m); val dst = new Array[Int](m)
-    val off = new Array[Int](n + 1)
-    var k = 0
-    while (k < m) {
-      src(k) = Arrays.binarySearch(ids, from(k)); dst(k) = Arrays.binarySearch(ids, to(k))
-      if (src(k) >= 0 && dst(k) >= 0) off(src(k) + 1) += 1 else src(k) = -1
-      k += 1
-    }
-    i = 0
-    while (i < n) { off(i + 1) += off(i); i += 1 }
-    val kept = off(n)
-    // Filling the CSR slots in target order (a stable sort) leaves each
-    // node's edges ordered by target.
-    val order = (0 until m).filter(src(_) >= 0).sortBy(dst(_))
-    val (tgt, sTrans, sDist) = (new Array[Int](kept), new Array[Long](kept), new Array[Int](kept))
-    val fill = Arrays.copyOf(off, n)
-    for (e <- order) {
-      val slot = fill(src(e)); fill(src(e)) += 1
-      tgt(slot) = dst(e); sTrans(slot) = trans(e); sDist(slot) = dist(e)
-    }
-    new Columns(ids, sLat, sLon, sCnt, sVes, off, tgt, sTrans, sDist)
+      .select("edge", "cell", "to", "med_lat", "med_lon", "cnt", "vessels")
+      .collect().toSeq.partition(_.getBoolean(0))
+    MotionGraph(res, n.map(r => GraphNode(r.getLong(1), r.getDouble(3), r.getDouble(4), r.getLong(5), r.getLong(6))),
+                e.map(r => GraphEdge(r.getLong(1), r.getLong(2), r.getLong(5))))
   }
 }

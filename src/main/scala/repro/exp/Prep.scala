@@ -2,7 +2,6 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession, functions => F}
 import repro.eval.{Gap, GapHarness, TimedPoint}
-import repro.h3.HexGrid
 import repro.preprocess.{Cleaner, TripSegmenter}
 
 /** Experiment preparation shared by [[Tables]], the bench suites and the
@@ -52,20 +51,15 @@ object Prep {
   def sar(spark: SparkSession): Prepared =
     prepare("SAR", repro.ais.Datasets.sar(spark, 400, 120).cache())
 
-  /** The local SparkSession of every entry point and test run, with the
-    * HexGrid UDFs registered.
-    */
-  def session(app: String): SparkSession = {
-    val s = SparkSession.builder
+  /** The local SparkSession of every entry point and test run. */
+  def session(app: String): SparkSession =
+    SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", false)
       .getOrCreate()
-    HexGrid.registerUdfs(s)
-    s
-  }
 
   def fmt(d: Double): String = f"$d%.2f"
 

@@ -1,6 +1,7 @@
 package repro.h3
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.expressions.UserDefinedFunction
+import org.apache.spark.sql.functions
 import repro.geo.{Geo, LatLng}
 
 /** Hexagonal spatial index standing in for Uber's H3 (no H3 jar is
@@ -60,6 +61,12 @@ object HexGrid {
     encode(res, q, r)
   }
 
+  /** [[latLngToCell]] as a Spark column function: `cellOf(lat, lon, res)`.
+    * Lazy, so callers that never touch Spark do not build it.
+    */
+  lazy val cellOf: UserDefinedFunction =
+    functions.udf((lat: Double, lon: Double, res: Int) => latLngToCell(LatLng(lat, lon), res))
+
   /** Geometric center of a cell (analogue of cellToLatLng). */
   def cellCenter(cell: Long): LatLng = {
     val s = edgeM(resolution(cell))
@@ -72,10 +79,12 @@ object HexGrid {
     */
   def gridDistance(a: Long, b: Long): Int = {
     require(resolution(a) == resolution(b), "gridDistance across resolutions")
-    val dq = axialQ(a) - axialQ(b)
-    val dr = axialR(a) - axialR(b)
-    (math.abs(dq) + math.abs(dr) + math.abs(dq + dr)) / 2
+    axialDistance(axialQ(a) - axialQ(b), axialR(a) - axialR(b))
   }
+
+  /** Hex distance in cells of the axial offset (dq, dr). */
+  def axialDistance(dq: Int, dr: Int): Int =
+    (math.abs(dq) + math.abs(dr) + math.abs(dq + dr)) / 2
 
   /** All cells at exactly hex distance `k` from `cell` (k-ring boundary);
     * k = 0 yields the cell itself. Used for nearest-graph-node search.
@@ -111,14 +120,5 @@ object HexGrid {
     if (dq > dr && dq > ds) q = -r - s
     else if (dr > ds) r = -q - s
     (q, r)
-  }
-
-  /** Register `h3_cell(lat, lon, res)` and `h3_dist(a, b)` UDFs so the
-    * aggregation dataflow (CellStats) can run as pure Spark SQL.
-    */
-  def registerUdfs(spark: SparkSession): Unit = {
-    spark.udf.register("h3_cell", (lat: Double, lon: Double, res: Int) =>
-      latLngToCell(LatLng(lat, lon), res))
-    spark.udf.register("h3_dist", (a: Long, b: Long) => gridDistance(a, b))
   }
 }

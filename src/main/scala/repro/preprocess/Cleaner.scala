@@ -28,10 +28,12 @@ object Cleaner {
       // keys), so this partitioning serves them all without an exchange.
       .repartition(F.col("vessel_id"))
 
-    // Exact and same-timestamp duplicates: keep one report per (vessel, t).
+    // Exact and same-timestamp duplicates: keep one report per (vessel, t),
+    // the least by every other column, so the survivor does not depend on
+    // the order in which the rows arrive.
     val dedup = valid
       .withColumn("rn", F.row_number().over(
-        Window.partitionBy("vessel_id", "t").orderBy("lat", "lon")))
+        Window.partitionBy("vessel_id", "t").orderBy("lat", "lon", "sog", "cog", "ship_type")))
       .filter(F.col("rn") === 1).drop("rn")
 
     // Delayed or spoofed positions show up as impossible implied speeds

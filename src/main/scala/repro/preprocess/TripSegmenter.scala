@@ -2,6 +2,7 @@ package repro.preprocess
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.Window
+import repro.h3.HexGrid
 
 /** Trip segmentation (paper §3.1): a trip is the subsequence of a vessel's
   * AIS reports between two successive stops or communication gaps.
@@ -20,10 +21,9 @@ object TripSegmenter {
                           refRes: Int = 8, minPoints: Int = 10)
 
   /** Segment cleaned AIS into trips: adds a `trip_id` column (first) and
-    * keeps only in-trip (moving) reports. Requires the `h3_cell` UDF
-    * registered (HexGrid.registerUdfs) for the tiny-trip exclusion. Every
-    * window is keyed by vessel_id, so input hash-partitioned by vessel_id
-    * (as [[Cleaner.clean]] returns it) is not shuffled again.
+    * keeps only in-trip (moving) reports. Every window is keyed by
+    * vessel_id, so input hash-partitioned by vessel_id (as
+    * [[Cleaner.clean]] returns it) is not shuffled again.
     */
   def segment(cleaned: DataFrame, params: Params = Params()): DataFrame = {
     val w = Window.partitionBy("vessel_id").orderBy("t")
@@ -47,7 +47,7 @@ object TripSegmenter {
     // (trip_id determines vessel_id), where a group-by and join would
     // shuffle twice.
     val wt = Window.partitionBy("vessel_id", "trip_id")
-    val rcl = F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(params.refRes))
+    val rcl = HexGrid.cellOf(F.col("lat"), F.col("lon"), F.lit(params.refRes))
     withTrip
       .withColumn("_ncells", F.size(F.collect_set(rcl).over(wt)))
       .withColumn("_npts", F.count(F.lit(1)).over(wt))

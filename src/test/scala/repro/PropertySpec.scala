@@ -21,14 +21,13 @@ class PropertySpec extends AnyFunSuite {
     val cells = (0 until n).map(_ => HexGrid.encode(res, rnd.nextInt(30), rnd.nextInt(30))).distinct
     val nodes = cells.map { c =>
       val p = HexGrid.cellCenter(c)
-      c -> GraphNode(c, p.lat, p.lon, 1 + rnd.nextInt(100), 1 + rnd.nextInt(5))
-    }.toMap
+      GraphNode(c, p.lat, p.lon, 1 + rnd.nextInt(100), 1 + rnd.nextInt(5))
+    }
     val edges = (0 until n * 3).map { _ =>
       val a = cells(rnd.nextInt(cells.size)); val b = cells(rnd.nextInt(cells.size))
-      GraphEdge(a, b, 1 + rnd.nextInt(50), HexGrid.gridDistance(a, b))
+      GraphEdge(a, b, 1 + rnd.nextInt(50))
     }.filter(e => e.from != e.to)
-    new MotionGraph(res, nodes,
-      edges.groupBy(_.from).view.mapValues(_.toIndexedSeq).toMap)
+    MotionGraph(res, nodes, edges)
   }
 
   private def referenceDijkstra(g: MotionGraph, s: Long, t: Long): Option[Double] = {
@@ -89,6 +88,25 @@ class PropertySpec extends AnyFunSuite {
       for (path <- p; Seq(a, b) <- path.sliding(2))
         assert(g.adjacency.getOrElse(a, IndexedSeq.empty).exists(_.to == b))
     }
+  }
+
+  test("nearestNode is the node at the least hex distance, smallest id first") {
+    val rnd = new Random(113)
+    var (near, far) = (0, 0)
+    for (_ <- 1 to 40) {
+      val g = randomGraph(rnd, 30)
+      val cells = g.nodes.keys.toIndexedSeq.sorted
+      for (_ <- 1 to 50) {
+        // A query 0-20 rings from a node: the ring search finds the nearest
+        // node within 16 rings, the full scan beyond.
+        val ring = HexGrid.ring(cells(rnd.nextInt(cells.size)), rnd.nextInt(21))
+        val q = ring(rnd.nextInt(ring.size))
+        val want = g.nodes.keys.minBy(c => (HexGrid.gridDistance(q, c), c))
+        assert(g.nearestNode(q) == Some(want), s"query $q")
+        if (HexGrid.gridDistance(q, want) > 16) far += 1 else near += 1
+      }
+    }
+    assert(near > 0 && far > 0, s"$near queries within 16 rings, $far beyond")
   }
 
   // --- RDP invariants ----------------------------------------------------

@@ -24,10 +24,10 @@ class BuildSpec extends AnyFunSuite with SparkSpec {
     "SAR"  -> Datasets.sar(spark, 12, 4),
     "DAN"  -> Datasets.dan(spark, 6)).map { case (n, df) => n -> df.cache() }
 
-  /** Rows of `got` in the column order of `ref`, both as multisets. */
+  /** Rows of `got` and of `ref` on the columns of `got`, both as multisets. */
   private def assertSameRows(got: DataFrame, ref: DataFrame, what: String): Unit = {
     def bag(df: DataFrame): Map[Row, Int] =
-      df.select(ref.columns.toIndexedSeq.map(df.col): _*).collect().groupBy(identity).view.mapValues(_.length).toMap
+      df.select(got.columns.toIndexedSeq.map(df.col): _*).collect().groupBy(identity).view.mapValues(_.length).toMap
     val (g, r) = (bag(got), bag(ref))
     assert(g.values.sum > 0, s"$what is empty")
     assert(g == r, s"$what: ${g.values.sum} rows against the reference's ${r.values.sum}")
@@ -118,12 +118,13 @@ class BuildSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("snapping beyond the ring budget takes the smallest id among the nearest nodes") {
-    // Six nodes on the ring of radius 3 around `far`: all tie on hex distance.
-    val far   = HexGrid.latLngToCell(repro.geo.LatLng(54.5, 11.0), 9)
-    val ring  = HexGrid.ring(far, 3).take(6)
-    val nodes = ring.map(c => c -> GraphNode(c, 0.0, 0.0, 1, 1)).toMap
-    val g = new MotionGraph(9, nodes, Map.empty)
-    assert(g.nearestNode(far, maxRing = 2) == Some(ring.min))
-    assert(g.nearestNode(far) == Some(ring.min))
+    // Six nodes on one ring around `far`: all tie on hex distance. The ring
+    // search finds those of radius 3; those of radius 17 need the full scan.
+    val far = HexGrid.latLngToCell(repro.geo.LatLng(54.5, 11.0), 9)
+    for (k <- Seq(3, 17)) {
+      val ring = HexGrid.ring(far, k).take(6)
+      val g = MotionGraph(9, ring.map(c => GraphNode(c, 0.0, 0.0, 1, 1)), Nil)
+      assert(g.nearestNode(far) == Some(ring.min), s"radius $k")
+    }
   }
 }

@@ -12,6 +12,7 @@ class CellStatsSpec extends AnyFunSuite with SparkSpec {
     val raw = repro.ais.Datasets.kiel(spark, nTrips = 4)
     TripSegmenter.segment(Cleaner.clean(raw)).cache()
   }
+  private lazy val g8 = MotionGraph.build(trips, 8, exact = true)
 
   test("withCells assigns cl and per-trip lag_cl") {
     val df = CellStats.withCells(trips, 8)
@@ -66,16 +67,21 @@ class CellStatsSpec extends AnyFunSuite with SparkSpec {
       .collect()(0).getLong(0) <= nTrips)
   }
 
-  test("edgeTable: dist equals the hex grid distance of the cell pair") {
-    CellStats.edgeTable(trips, 8, exact = true).collect().foreach { r =>
-      assert(r.getAs[Int]("dist") ==
-        HexGrid.gridDistance(r.getAs[Long]("lag_cl"), r.getAs[Long]("cl")))
+  test("graph: every edge's dist is the hex distance of its two cells") {
+    val ref = ReferenceCellStats.edgeTable(trips, 8, exact = true).collect()
+      .map(r => (r.getAs[Long]("lag_cl"), r.getAs[Long]("cl")) -> r.getAs[Int]("dist")).toMap
+    assert(g8.edgeCount > 0 && g8.edgeCount == ref.size)
+    for (i <- g8.ids.indices; k <- g8.off(i) until g8.off(i + 1)) {
+      val (a, b) = (g8.ids(i), g8.ids(g8.tgt(k)))
+      assert(g8.dist(k) == HexGrid.gridDistance(a, b))
+      assert(g8.dist(k) == ref((a, b)))
     }
   }
 
-  test("edgeTable: consecutive samples at cruise speed span few cells at res 8") {
-    val d = CellStats.edgeTable(trips, 8, exact = true)
-      .agg(expr("percentile(dist, 0.5)")).collect()(0).getDouble(0)
+  test("graph: consecutive samples at cruise speed span few cells at res 8") {
+    // The median as `percentile(dist, 0.5)` takes it.
+    val s = g8.dist.sorted
+    val d = (s((s.length - 1) / 2) + s(s.length / 2)) / 2.0
     assert(d >= 1.0 && d <= 3.0, s"median transition distance $d cells")
   }
 

@@ -97,7 +97,7 @@ class HabitSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("empty graph falls back to the straight segment") {
-    val h = new Habit(new MotionGraph(8, Map.empty, Map.empty), HabitConfig(8, 100))
+    val h = new Habit(MotionGraph(8, Nil, Nil), HabitConfig(8, 100))
     val p = h.impute(LatLng(55, 11), LatLng(55.5, 11.2))
     assert(p == IndexedSeq(LatLng(55, 11), LatLng(55.5, 11.2)))
   }

@@ -56,13 +56,14 @@ class MotionGraphSpec extends AnyFunSuite with SparkSpec {
   }
 
   test("nearestNode on an empty graph is None") {
-    val empty = new MotionGraph(8, Map.empty, Map.empty)
+    val empty = MotionGraph(8, Nil, Nil)
     assert(empty.nearestNode(HexGrid.latLngToCell(LatLng(55, 11), 8)).isEmpty)
   }
 
   test("nearestNode falls back to full scan beyond the ring budget") {
     val far = HexGrid.latLngToCell(LatLng(30.0, -40.0), 8)
-    assert(g8.nearestNode(far, maxRing = 2).isDefined)
+    assert(g8.nodes.keys.forall(HexGrid.gridDistance(far, _) > 16))
+    assert(g8.nearestNode(far).isDefined)
   }
 
   test("graph is deterministic across rebuilds") {

@@ -2,17 +2,22 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.Window
+import repro.h3.HexGrid
 
 /** [[CellStats]] as it was before the build shared one vessel_id
   * partitioning, kept as the reference for the differential tests: the
-  * cell lag is taken over a window partitioned by trip_id alone.
+  * cell lag is taken over a window partitioned by trip_id alone, and the
+  * edge table carries each transition's hex distance as a `dist` column,
+  * which the graph now derives from the two cells.
   */
 object ReferenceCellStats {
+
+  private val hexDistance = F.udf((a: Long, b: Long) => HexGrid.gridDistance(a, b))
 
   def withCells(trips: DataFrame, res: Int): DataFrame = {
     val w = Window.partitionBy("trip_id").orderBy("t")
     trips
-      .withColumn("cl", F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(res)))
+      .withColumn("cl", HexGrid.cellOf(F.col("lat"), F.col("lon"), F.lit(res)))
       .withColumn("lag_cl", F.lag("cl", 1).over(w))
   }
 
@@ -32,6 +37,6 @@ object ReferenceCellStats {
     withCells(trips, res)
       .filter(F.col("lag_cl").isNotNull && F.col("lag_cl") =!= F.col("cl"))
       .groupBy("lag_cl", "cl").agg(transitions.as("transitions"))
-      .withColumn("dist", F.call_udf("h3_dist", F.col("lag_cl"), F.col("cl")))
+      .withColumn("dist", hexDistance(F.col("lag_cl"), F.col("cl")))
   }
 }

@@ -18,8 +18,8 @@ class SearchSpec extends AnyFunSuite with SparkSpec {
   test("fromTables orders each node's edges by target, whatever the row order") {
     val cells = CellStats.cellTable(sar.trainDf, Res).cache()
     val edges = CellStats.edgeTable(sar.trainDf, Res).cache()
-    val rows = edges.select("lag_cl", "cl", "transitions", "dist").collect()
-      .map(r => GraphEdge(r.getLong(0), r.getLong(1), r.getLong(2), r.getInt(3)))
+    val rows = edges.select("lag_cl", "cl", "transitions").collect()
+      .map(r => GraphEdge(r.getLong(0), r.getLong(1), r.getLong(2)))
     val g = MotionGraph.fromTables(cells, edges, Res)
     val kept = rows.filter(e => g.indexOf(e.from) >= 0 && g.indexOf(e.to) >= 0)
     assert(g.edgeCount == kept.length && g.nodeCount == cells.count())

@@ -128,18 +128,15 @@ class HexGridSpec extends AnyFunSuite with SparkSpec {
     assert(all.size == 1 + 6 + 12 + 18)
   }
 
-  test("spark UDFs h3_cell and h3_dist agree with the Scala API") {
+  test("the cell column agrees with latLngToCell") {
     import org.apache.spark.sql.functions._
-    HexGrid.registerUdfs(spark)
     import spark.implicits._
     val pts = Seq((55.5, 11.5), (55.6, 11.4), (54.3, 10.1)).toDF("lat", "lon")
-    val got = pts.select(call_udf("h3_cell", col("lat"), col("lon"), lit(9)).as("c"))
+    val got = pts.select(HexGrid.cellOf(col("lat"), col("lon"), lit(9)).as("c"))
       .collect().map(_.getLong(0))
     val exp = Seq(LatLng(55.5, 11.5), LatLng(55.6, 11.4), LatLng(54.3, 10.1))
       .map(HexGrid.latLngToCell(_, 9))
     assert(got.toSeq == exp)
-    val d = spark.sql(s"SELECT h3_dist(${exp(0)}L, ${exp(1)}L) AS d").collect()(0).getInt(0)
-    assert(d == HexGrid.gridDistance(exp(0), exp(1)))
   }
 
   test("distinct positions across a lane map to many distinct cells at high res") {

@@ -49,6 +49,24 @@ class CleanerSpec extends AnyFunSuite with SparkSpec {
     assert(Cleaner.clean(df(rows)).count() == 2)
   }
 
+  // Reports that share vessel, t and position but not speed and course, as
+  // SynthAIS injects them.
+  private val slow = rec(0, 55.0, 12.0, sog = 2.0, cog = 80.0)
+  private val fast = rec(0, 55.0, 12.0, sog = 9.0, cog = 95.0)
+
+  test("same vessel, t and position: one survivor, whatever the row order") {
+    val conf = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(conf)
+    try {
+      for (partitions <- Seq(1, 8); pair <- Seq(Seq(slow, fast), Seq(fast, slow))) {
+        spark.conf.set(conf, partitions.toLong)
+        val got = Cleaner.clean(df(pair :+ rec(60, 55.005, 12.0))).filter("t = 0").collect()
+        assert(got.map(r => (r.getAs[Double]("sog"), r.getAs[Double]("cog"))).toSeq == Seq((2.0, 80.0)),
+          s"$partitions partitions, rows $pair")
+      }
+    } finally spark.conf.set(conf, before)
+  }
+
   test("teleporting report (impossible implied speed) is dropped") {
     // 0.5 degrees (~55 km) in 60 s is ~1800 knots.
     val rows = Seq(rec(0, 55.0, 12.0), rec(60, 55.5, 12.0), rec(120, 55.01, 12.0))
@@ -88,7 +106,9 @@ class CleanerSpec extends AnyFunSuite with SparkSpec {
       (0 to 20).map(i => rec(i * 60L, 55.0 + i * 0.005, 12.0)),
       Seq(rec(0, 55.0, 12.0, v = 1), rec(60, 55.005, 12.0, v = 1),
           rec(0, 95.0, 12.0, v = 2), rec(60, 37.9, 23.6, v = 2)),
-      Seq(rec(120, 55.01, 12.0), rec(0, 55.0, 12.0), rec(60, 55.005, 12.0, v = 3), rec(0, 55.0, 12.0)))
+      Seq(rec(120, 55.01, 12.0), rec(0, 55.0, 12.0), rec(60, 55.005, 12.0, v = 3), rec(0, 55.0, 12.0)),
+      Seq(slow, fast, rec(60, 55.005, 12.0)),
+      Seq(fast, slow, rec(60, 55.005, 12.0)))
     for (rows <- cases) {
       val got = Cleaner.clean(df(rows)).collect()
       assert(got.length == got.toSet.size)

@@ -6,7 +6,9 @@ import org.apache.spark.sql.expressions.Window
 /** [[Cleaner.clean]] as it was before the build shared one vessel_id
   * partitioning, kept as the reference for the differential tests: the
   * (vessel_id, t) dedup window and the per-vessel implied-speed window
-  * each shuffle on their own keys.
+  * each shuffle on their own keys. The dedup keeps the report that is least
+  * by every other column, as [[Cleaner.clean]] does: that tie rule is part
+  * of the specification, not of the partitioning under test.
   */
 object ReferenceCleaner {
 
@@ -19,7 +21,7 @@ object ReferenceCleaner {
 
     val dedup = valid
       .withColumn("rn", F.row_number().over(
-        Window.partitionBy("vessel_id", "t").orderBy("lat", "lon")))
+        Window.partitionBy("vessel_id", "t").orderBy("lat", "lon", "sog", "cog", "ship_type")))
       .filter(F.col("rn") === 1).drop("rn")
 
     val w = Window.partitionBy("vessel_id").orderBy("t")

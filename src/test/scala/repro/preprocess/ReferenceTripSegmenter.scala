@@ -2,6 +2,7 @@ package repro.preprocess
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.Window
+import repro.h3.HexGrid
 
 /** [[TripSegmenter.segment]] as it was before the build shared one
   * vessel_id partitioning, kept as the reference for the differential
@@ -27,7 +28,7 @@ object ReferenceTripSegmenter {
       .drop("_stopped", "_dt", "_prevStopped", "_boundary", "_seq")
 
     val withCell = withTrip.withColumn("_rcl",
-      F.call_udf("h3_cell", F.col("lat"), F.col("lon"), F.lit(params.refRes)))
+      HexGrid.cellOf(F.col("lat"), F.col("lon"), F.lit(params.refRes)))
     val keep = withCell.groupBy("trip_id").agg(
       F.countDistinct("_rcl").as("_ncells"), F.count(F.lit(1)).as("_npts"))
       .filter(F.col("_ncells") > 2 && F.col("_npts") >= params.minPoints)
