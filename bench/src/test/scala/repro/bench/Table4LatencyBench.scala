@@ -4,12 +4,12 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Prep.{fmt, printTable}
 import repro.exp.Tables
 
-/** Reproduces Table 4 — average and maximum imputation query latency (s)
-  * for HABIT (r, t) and GTI (rm, rd) configurations over the same 60-min
-  * gaps on KIEL and SAR. Also prints mean/median DTW per configuration,
-  * covering the accuracy comparison of Figure 5 (HABIT comparable to GTI,
-  * both far better than SLI on the confined KIEL route; HABIT stable on
-  * the diverse SAR traffic).
+/** Reproduces Table 4 — average and maximum imputation query latency (s),
+  * with our p50 and p99 beside them, for HABIT (r, t) and GTI (rm, rd)
+  * configurations over the same 60-min gaps on KIEL and SAR. Also prints
+  * mean/median DTW per configuration, covering the accuracy comparison of
+  * Figure 5 (HABIT comparable to GTI, both far better than SLI on the
+  * confined KIEL route; HABIT stable on the diverse SAR traffic).
   *
   * Reproduction target (shape): HABIT stays sub-second with latency
   * growing in r; GTI is consistently slower than HABIT and degrades on
@@ -37,7 +37,7 @@ class Table4LatencyBench extends AnyFunSuite {
   test("Table 4: imputation query latency (and Figure 5 accuracy)") {
     val rows = Tables.table4(kiel, sar)
     printTable("Table 4: query latency (s) + DTW accuracy, ours vs paper",
-      Seq("Dataset", "Method", "Config", "Avg s", "Max s", "meanDTW m", "medDTW m",
+      Seq("Dataset", "Method", "Config", "Avg s", "p50 s", "p99 s", "Max s", "meanDTW m", "medDTW m",
           "paper Avg", "paper Max"),
       rows.map { r =>
         val p = paper.get((r.dataset, r.method, r.config))

@@ -14,14 +14,24 @@ final case class TimedPoint(t: Long, p: LatLng)
   */
 final case class Gap(tripId: Long, from: LatLng, to: LatLng, truth: IndexedSeq[LatLng])
 
-/** Accuracy/latency summary over a set of gaps for one method. */
+/** Accuracy/latency summary over a set of gaps for one method.
+  * Percentiles are nearest-rank: element min(n - 1, ⌊q·n⌋) of the sorted
+  * values, each side sorted once.
+  */
 final case class EvalResult(dtws: IndexedSeq[Double], latenciesSec: IndexedSeq[Double]) {
+  private lazy val sortedDtws      = dtws.sorted
+  private lazy val sortedLatencies = latenciesSec.sorted
+  private def percentile(sorted: IndexedSeq[Double], q: Double): Double =
+    if (sorted.isEmpty) 0.0 else sorted(math.min(sorted.size - 1, (q * sorted.size).toInt))
+
   def meanDtw: Double   = if (dtws.isEmpty) 0.0 else dtws.sum / dtws.size
   def medianDtw: Double = percentileDtw(0.5)
-  def percentileDtw(q: Double): Double =
-    if (dtws.isEmpty) 0.0 else dtws.sorted.apply(math.min(dtws.size - 1, (q * dtws.size).toInt))
+  def percentileDtw(q: Double): Double = percentile(sortedDtws, q)
   def avgLatency: Double = if (latenciesSec.isEmpty) 0.0 else latenciesSec.sum / latenciesSec.size
   def maxLatency: Double = if (latenciesSec.isEmpty) 0.0 else latenciesSec.max
+  def percentileLatency(q: Double): Double = percentile(sortedLatencies, q)
+  def p50Latency: Double = percentileLatency(0.5)
+  def p99Latency: Double = percentileLatency(0.99)
   def nGaps: Int = dtws.size
 }
 

@@ -33,8 +33,9 @@ object Tables {
 
   final case class LatencyRow(dataset: String, method: String, config: String, result: EvalResult) {
     def cells: Seq[String] =
-      Seq(dataset, method, config, f"${result.avgLatency}%.4f", f"${result.maxLatency}%.4f",
-          fmt(result.meanDtw), fmt(result.medianDtw))
+      Seq(dataset, method, config) ++
+        Seq(result.avgLatency, result.p50Latency, result.p99Latency, result.maxLatency).map(s => f"$s%.4f") ++
+        Seq(fmt(result.meanDtw), fmt(result.medianDtw))
   }
 
   /** Median DTW of HABIT (r=9, t=100) for one gap duration; None when the
@@ -144,7 +145,7 @@ object Tables {
           t3.rows.map(_.cells) :+ (Seq("Original", "-") ++ t3.original.cells))
       case "4" =>
         Prep.printTable("Table 4: query latency (s) + DTW accuracy",
-          Seq("Dataset", "Method", "Config", "Avg s", "Max s", "mean DTW", "med DTW"),
+          Seq("Dataset", "Method", "Config", "Avg s", "p50 s", "p99 s", "Max s", "mean DTW", "med DTW"),
           table4(kiel, sar).map(_.cells))
       case "7" =>
         Prep.printTable("Figure 7: HABIT median DTW by gap duration [KIEL, r=9 t=100]",

@@ -51,8 +51,13 @@ object HexGrid {
     LatLng(Geo.toDeg(phi), Geo.toDeg(lam))
   }
 
-  /** Assign a position to its cell at `res` (analogue of latLngToCell). */
+  /** Assign a position to its cell at `res` (analogue of latLngToCell).
+    * Rejects a NaN or infinite coordinate, |lat| > 90 and |lon| > 180:
+    * `math.round(NaN)` is 0, so a NaN would otherwise land in cell (0, 0).
+    */
   def latLngToCell(p: LatLng, res: Int): Long = {
+    require(math.abs(p.lat) <= 90.0 && math.abs(p.lon) <= 180.0,
+      s"latLngToCell: non-finite or out-of-range position $p")
     val s        = edgeM(res)
     val (x, y)   = project(p)
     val qf       = (math.sqrt(3.0) / 3.0 * x - y / 3.0) / s

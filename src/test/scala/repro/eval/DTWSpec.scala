@@ -72,35 +72,49 @@ class DTWSpec extends AnyFunSuite {
     assert(e > 5000.0, s"got $e")
   }
 
-  /** The n x m matrix DTW that the rolling-row `DTW` replaced: (cost, length). */
-  private def matrixAlign(a: IndexedSeq[LatLng], b: IndexedSeq[LatLng]): (Double, Int) = {
-    val n = a.size; val m = b.size
-    val cost = Array.fill(n + 1, m + 1)(Double.PositiveInfinity)
-    val len  = Array.fill(n + 1, m + 1)(0)
-    cost(0)(0) = 0.0
-    for (i <- 1 to n; j <- 1 to m) {
-      val d = Geo.haversineM(a(i - 1), b(j - 1))
-      val c1 = cost(i - 1)(j); val c2 = cost(i)(j - 1); val c3 = cost(i - 1)(j - 1)
-      val (pc, pl) =
-        if (c3 <= c1 && c3 <= c2) (c3, len(i - 1)(j - 1))
-        else if (c1 <= c2) (c1, len(i - 1)(j))
-        else (c2, len(i)(j - 1))
-      cost(i)(j) = d + pc
-      len(i)(j) = pl + 1
-    }
-    (cost(n)(m), len(n)(m))
-  }
-
   test("rolling rows give the matrix DTW's scores bit for bit") {
     val rnd = new scala.util.Random(21)
     def walk(n: Int) = IndexedSeq.iterate(LatLng(55 + rnd.nextDouble(), 11 + rnd.nextDouble()), n)(p =>
       LatLng(p.lat + rnd.nextGaussian() * 0.003, p.lon + rnd.nextGaussian() * 0.003))
+    val walks = Seq.fill(60)((walk(1 + rnd.nextInt(40)), walk(1 + rnd.nextInt(40))))
     // Equal-distance lattices make the diagonal/up/left ties common.
-    val ties = Seq((line(12), line(12, 55.001)), (line(7), line(19)), (line(1), line(5)))
-    for ((a, b) <- ties ++ Seq.fill(60)((walk(1 + rnd.nextInt(40)), walk(1 + rnd.nextInt(40))))) {
-      val (c, steps) = matrixAlign(a, b)
-      assert(DTW.cost(a, b) == c)
-      assert(DTW.normalized(a, b) == c / steps)
+    val ties = Seq((line(12), line(12, 55.001)), (line(7), line(19)), (line(1), line(5)),
+                   (line(5), line(23, 55.001)), (line(31), line(8)), (line(17), line(16, 55.002)))
+    // The pruning bound is loose, or a row's window reaches the matrix edge.
+    val w = walk(60)
+    val straight = Geo.densify(Seq(LatLng(55.0, 11.0), LatLng(55.0, 11.6)), 250.0).toIndexedSeq
+    val detour = Geo.densify(Seq(LatLng(55.0, 11.0), LatLng(55.5, 11.1), LatLng(55.6, 11.5),
+                                 LatLng(55.0, 11.6)), 250.0).toIndexedSeq
+    val loose = Seq((w, w.reverse), (w, w), (w, w.map(p => Geo.destination(p, 0.0, 100000.0))),
+                    (IndexedSeq(w(30)), w), (IndexedSeq(w(0)), IndexedSeq(w(59))), (straight, detour))
+    // Short paths over a coarse lattice revisit positions, which puts cells
+    // above the bound on both sides of a window: about 1 pair in 4,000
+    // reads a stale rolling-row entry if a window's right end is not reset.
+    def coarse() = {
+      val step = if (rnd.nextBoolean()) 0.001 else 0.1
+      IndexedSeq.fill(2 + rnd.nextInt(7))(LatLng(55.0 + rnd.nextInt(5) * step, 11.0 + rnd.nextInt(5) * step))
     }
+    val lattice = Seq.fill(30000)((coarse(), coarse()))
+    for ((a, b) <- walks ++ ties ++ loose ++ lattice; (x, y) <- Seq((a, b), (b, a))) {
+      val (c, steps) = ReferenceDTW.align(x, y)
+      assert(DTW.cost(x, y) == c, s"$x, $y")
+      assert(DTW.normalized(x, y) == c / steps, s"$x, $y")
+    }
+  }
+
+  test("non-finite or out-of-range coordinates are rejected") {
+    val ok = line(5)
+    val bad = Seq(LatLng(Double.NaN, 11.0), LatLng(55.0, Double.NaN), LatLng(91.0, 11.0),
+                  LatLng(-90.5, 11.0), LatLng(Double.PositiveInfinity, 11.0),
+                  LatLng(55.0, Double.NegativeInfinity))
+    for (p <- bad; k <- Seq(0, 2, 4)) {
+      val path = ok.updated(k, p)
+      val e = intercept[IllegalArgumentException](DTW.cost(path, ok))
+      assert(e.getMessage.contains(p.toString), e.getMessage)
+      intercept[IllegalArgumentException](DTW.cost(ok, path))
+      intercept[IllegalArgumentException](DTW.pathErrorM(path, ok))
+    }
+    // The poles and far longitudes are in range.
+    assert(DTW.cost(IndexedSeq(LatLng(90.0, 0.0), LatLng(-90.0, 540.0)), ok) > 0.0)
   }
 }

@@ -89,6 +89,22 @@ class GapHarnessSpec extends AnyFunSuite with SparkSpec {
   test("EvalResult on empty input is all zeros") {
     val r = EvalResult(IndexedSeq.empty, IndexedSeq.empty)
     assert(r.meanDtw == 0.0 && r.medianDtw == 0.0 && r.avgLatency == 0.0 && r.maxLatency == 0.0)
+    assert(r.p50Latency == 0.0 && r.p99Latency == 0.0)
+  }
+
+  test("EvalResult latency percentiles are nearest-rank, like the DTW ones") {
+    val rnd = new Random(3)
+    for (n <- Seq(1, 2, 3, 10, 99, 100, 101, 1000)) {
+      val lats = IndexedSeq.fill(n)(rnd.nextDouble())
+      val r = EvalResult(lats, lats)
+      val sorted = lats.sorted
+      for (q <- Seq(0.0, 0.25, 0.5, 0.9, 0.99, 1.0)) {
+        assert(r.percentileLatency(q) == sorted(math.min(n - 1, (q * n).toInt)), s"n=$n q=$q")
+        assert(r.percentileLatency(q) == r.percentileDtw(q))
+      }
+      assert(r.p50Latency == r.medianDtw && r.p99Latency == r.percentileLatency(0.99))
+      assert(r.p50Latency <= r.p99Latency && r.p99Latency <= r.maxLatency)
+    }
   }
 
   test("trainPaths provides ordered point sequences for GTI") {

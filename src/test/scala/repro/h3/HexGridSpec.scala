@@ -43,6 +43,30 @@ class HexGridSpec extends AnyFunSuite with SparkSpec {
     intercept[IllegalArgumentException](HexGrid.encode(9, 1 << 23, 0))
   }
 
+  test("latLngToCell rejects non-finite and out-of-range positions, naming them") {
+    val rnd = new Random(16)
+    def coord(limit: Double): Double = rnd.nextInt(6) match {
+      case 0 => Double.NaN
+      case 1 => Double.PositiveInfinity
+      case 2 => Double.NegativeInfinity
+      case 3 => limit + 1e-9 + rnd.nextDouble() * 1000
+      case 4 => -limit - 1e-9 - rnd.nextDouble() * 1000
+      case _ => (rnd.nextDouble() * 2 - 1) * limit
+    }
+    for (_ <- 1 to 500) {
+      val p   = LatLng(coord(90.0), coord(180.0))
+      val res = rnd.nextInt(16)
+      val bad = !(math.abs(p.lat) <= 90.0 && math.abs(p.lon) <= 180.0)
+      if (bad) {
+        val e = intercept[IllegalArgumentException](HexGrid.latLngToCell(p, res))
+        assert(e.getMessage.contains(p.toString), e.getMessage)
+      } else if (res <= 10) assert(HexGrid.resolution(HexGrid.latLngToCell(p, res)) == res)
+    }
+    // The range's own edges are accepted.
+    for (lat <- Seq(-90.0, 90.0); lon <- Seq(-180.0, 180.0))
+      assert(HexGrid.resolution(HexGrid.latLngToCell(LatLng(lat, lon), 6)) == 6)
+  }
+
   test("project/unproject roundtrip") {
     val rnd = new Random(12)
     for (_ <- 1 to 200) {
