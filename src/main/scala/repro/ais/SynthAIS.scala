@@ -32,8 +32,7 @@ object SynthAIS {
   /** Simulate one trip into its AIS reports. Deterministic in `spec`. */
   def simulate(spec: TripSpec): Seq[AisRecord] = {
     val rnd  = new Random(spec.seed)
-    val path = Geo.densify(
-      spec.wpts.grouped(2).map(a => LatLng(a(0), a(1))).toSeq, 100.0).toIndexedSeq
+    val path = Geo.densify(spec.wpts.grouped(2).map(a => LatLng(a(0), a(1))).toSeq, 100.0)
     val cum = new Array[Double](path.size)
     var i = 1
     while (i < path.size) { cum(i) = cum(i - 1) + Geo.haversineM(path(i - 1), path(i)); i += 1 }

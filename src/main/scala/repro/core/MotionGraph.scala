@@ -48,6 +48,15 @@ final class MotionGraph private (val res: Int,
   private[core] val cost: Array[Double] =
     Array.tabulate(tgt.length)(k => AStar.edgeCost(transitions(k), dist(k)))
 
+  /** Strongly connected component id of each node (Tarjan's numbering). */
+  @transient private[core] lazy val component: Array[Int] = MotionGraph.components(off, tgt)
+
+  /** The landmark tables of A*'s lower bound, computed on first search.
+    * Like `cost`, `q` and `r` they are derived data: not serialized and
+    * not counted by [[serializedSizeBytes]].
+    */
+  @transient private[core] lazy val landmarks: Landmarks = Landmarks(this)
+
   def edgeCount: Int = tgt.length
   def nodeCount: Int = ids.length
 
@@ -125,6 +134,47 @@ object MotionGraph {
     * result does not depend on it: both pick the same node.
     */
   private val MaxRing = 16
+
+  /** Strongly connected components of a CSR graph: an iterative Tarjan,
+    * roots and out-edges taken in index order. Component ids count from 0
+    * in the order Tarjan completes them (reverse topological order).
+    */
+  private def components(off: Array[Int], tgt: Array[Int]): Array[Int] = {
+    val n = off.length - 1
+    val index = Array.fill(n)(-1); val low = new Array[Int](n)
+    val comp = Array.fill(n)(-1)
+    // Tarjan's stack: visited nodes not yet in a component.
+    val stack = new Array[Int](n); var sp = 0
+    // The depth-first call stack: a node and its next out-edge slot.
+    val call = new Array[Int](n); val next = new Array[Int](n); var cp = 0
+    var visited = 0; var count = 0
+    def visit(v: Int): Unit = {
+      index(v) = visited; low(v) = visited; visited += 1
+      stack(sp) = v; sp += 1
+      call(cp) = v; next(cp) = off(v); cp += 1
+    }
+    for (root <- 0 until n if index(root) < 0) {
+      visit(root)
+      while (cp > 0) {
+        val u = call(cp - 1); val k = next(cp - 1)
+        if (k < off(u + 1)) {
+          next(cp - 1) = k + 1
+          val v = tgt(k)
+          if (index(v) < 0) visit(v)
+          else if (comp(v) < 0) low(u) = math.min(low(u), index(v))
+        } else {
+          cp -= 1
+          if (low(u) == index(u)) {
+            var v = -1
+            while (v != u) { sp -= 1; v = stack(sp); comp(v) = count }
+            count += 1
+          }
+          if (cp > 0) low(call(cp - 1)) = math.min(low(call(cp - 1)), low(u))
+        }
+      }
+    }
+    comp
+  }
 
   /** The graph of node and edge rows in any order: nodes sorted by cell,
     * each node's edges ordered by target (edges with the same source and

@@ -9,10 +9,15 @@ package repro.core
   * sift-up and sift-down comparisons, so the path chosen among equal-cost
   * paths is the same as a search over that queue.
   *
+  * A node whose heuristic is +∞ is never pushed: the caller's heuristic
+  * returns +∞ only for nodes proven unable to reach the goal, so a start
+  * with an infinite heuristic is answered None without a search.
+  *
   * Each thread keeps its own scratch arrays (distances, predecessors, the
   * closed set and the heap). They are reused across queries: an entry is
   * valid only when its stamp equals the query's generation, so nothing is
-  * cleared between queries.
+  * cleared between queries. A heuristic must not itself start a search on
+  * the calling thread while a search runs, since both would share them.
   */
 object Search {
 
@@ -26,6 +31,7 @@ object Search {
     var heapNode: Array[Int] = new Array[Int](64)
     var heapF: Array[Double] = new Array[Double](64)
     var size: Int = 0
+    var expanded: Int = 0
 
     def begin(n: Int): Unit = {
       if (seen.length < n) {
@@ -80,25 +86,58 @@ object Search {
 
   private val scratch = ThreadLocal.withInitial[Scratch](() => new Scratch)
 
+  /** Nodes expanded (taken off the heap and relaxed) by the last search on
+    * the calling thread: a work counter that reads no clock.
+    */
+  def lastExpanded: Int = scratch.get().expanded
+
   /** Least-cost path from `start` to `goal` over a CSR graph with `n =
-    * off.length - 1` nodes, guided by the admissible heuristic `h`;
-    * the node sequence including both ends, or None if `goal` is
-    * unreachable.
+    * off.length - 1` nodes, guided by the consistent heuristic `h`
+    * (+∞ only for nodes that cannot reach `goal`); the node sequence
+    * including both ends, or None if `goal` is unreachable.
     */
   def aStar(off: Array[Int], tgt: Array[Int], cost: Array[Double],
             h: Int => Double, start: Int, goal: Int): Option[Array[Int]] = {
-    if (start == goal) return Some(Array(start))
     val s = scratch.get()
+    s.expanded = 0
+    if (start == goal) return Some(Array(start))
+    val h0 = h(start)
+    if (h0 == Double.PositiveInfinity) return None
+    if (run(s, off, tgt, cost, h, start, h0, goal)) Some(path(s.prev, start, goal)) else None
+  }
+
+  /** Least cost from `source` to every node of a CSR graph, +∞ where
+    * unreachable: the same search with a zero heuristic and no goal.
+    */
+  def distances(off: Array[Int], tgt: Array[Int], cost: Array[Double], source: Int): Array[Double] = {
+    val s = scratch.get()
+    run(s, off, tgt, cost, null, source, 0.0, -1)
+    val d = Array.fill(off.length - 1)(Double.PositiveInfinity)
+    for (v <- d.indices if s.seen(v) == s.gen) d(v) = s.dist(v)
+    d
+  }
+
+  /** The search from `start` (heuristic `h0`) until `goal` pops, true, or
+    * the heap runs empty, false; a null `h` reads as zero. Distances and
+    * predecessors are left in the scratch arrays.
+    *
+    * The null, rather than a zero function, keeps the call `h(v)` seeing
+    * only the searches' heuristics (A*'s and GTI's), so the JIT can still
+    * inline both.
+    */
+  private def run(s: Scratch, off: Array[Int], tgt: Array[Int], cost: Array[Double],
+                  h: Int => Double, start: Int, h0: Double, goal: Int): Boolean = {
     s.begin(off.length - 1)
     val gen = s.gen; val seen = s.seen; val closed = s.closed
     val dist = s.dist; val prev = s.prev
     seen(start) = gen; dist(start) = 0.0
-    s.push(start, h(start))
+    s.push(start, h0)
     while (s.size > 0) {
       val u = s.pop()
-      if (u == goal) return Some(path(prev, start, goal))
+      if (u == goal) return true
       if (closed(u) != gen) {
         closed(u) = gen
+        s.expanded += 1
         val du = dist(u)
         var k = off(u); val end = off(u + 1)
         while (k < end) {
@@ -106,15 +145,18 @@ object Search {
           if (closed(v) != gen) {
             val cand = du + cost(k)
             if (cand < (if (seen(v) == gen) dist(v) else Double.PositiveInfinity)) {
-              seen(v) = gen; dist(v) = cand; prev(v) = u
-              s.push(v, cand + h(v))
+              val hv = if (h eq null) 0.0 else h(v)
+              if (hv != Double.PositiveInfinity) {
+                seen(v) = gen; dist(v) = cand; prev(v) = u
+                s.push(v, cand + hv)
+              }
             }
           }
           k += 1
         }
       }
     }
-    None
+    false
   }
 
   private def path(prev: Array[Int], start: Int, goal: Int): Array[Int] = {

@@ -23,8 +23,7 @@ object DTW {
 
   /** Densify both paths to 250 m then compute normalized DTW. */
   def pathErrorM(imputed: Seq[LatLng], original: Seq[LatLng]): Double =
-    normalized(Geo.densify(imputed, DensifyM).toIndexedSeq,
-               Geo.densify(original, DensifyM).toIndexedSeq)
+    normalized(Geo.densify(imputed, DensifyM), Geo.densify(original, DensifyM))
 
   /** A path as primitive arrays: degrees and each point's cos(lat). */
   private final class Points(path: IndexedSeq[LatLng], name: String) {

@@ -83,14 +83,22 @@ object Geo {
   /** Densify a polyline so consecutive points are at most `maxGapM` apart
     * (the paper densifies to 250 m before DTW). Endpoints are preserved.
     */
-  def densify(path: Seq[LatLng], maxGapM: Double): Seq[LatLng] = {
+  def densify(path: Seq[LatLng], maxGapM: Double): IndexedSeq[LatLng] = {
     require(maxGapM > 0, "maxGapM must be positive")
-    if (path.size < 2) path
-    else path.head +: path.sliding(2).flatMap { case Seq(a, b) =>
-      val d = haversineM(a, b)
-      val n = math.max(1, math.ceil(d / maxGapM).toInt)
-      (1 to n).map(i => interpolate(a, b, i.toDouble / n))
-    }.toSeq
+    val out = scala.collection.immutable.ArraySeq.newBuilder[LatLng]
+    val it = path.iterator
+    if (it.hasNext) {
+      var a = it.next()
+      out += a
+      while (it.hasNext) {
+        val b = it.next()
+        val n = math.max(1, math.ceil(haversineM(a, b) / maxGapM).toInt)
+        var i = 1
+        while (i <= n) { out += interpolate(a, b, i.toDouble / n); i += 1 }
+        a = b
+      }
+    }
+    out.result()
   }
 
   /** Absolute course change (deg, in [0, 180]) at each interior vertex of a

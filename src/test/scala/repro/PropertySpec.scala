@@ -1,7 +1,7 @@
 package repro
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AStar, GraphEdge, GraphNode, MotionGraph}
+import repro.core.{AStar, GraphEdge, GraphNode, MotionGraph, ReferenceAStar, Search}
 import repro.eval.DTW
 import repro.geo.{Geo, LatLng, RDP}
 import repro.h3.HexGrid
@@ -74,9 +74,53 @@ class PropertySpec extends AnyFunSuite {
       val g = randomGraph(rnd, 30)
       val cells = g.nodes.keys.toIndexedSeq
       for (s <- cells; t <- cells)
-        assert(AStar.shortestPath(g, s, t) == repro.core.ReferenceAStar.shortestPath(g, s, t),
+        assert(AStar.shortestPath(g, s, t) == ReferenceAStar.shortestPath(g, s, t, AStar.lowerBound(g, t)),
           s"trial $trial: $s -> $t")
     }
+  }
+
+  test("the A* heuristic is admissible: at most the reference Dijkstra cost, +∞ only if unreachable") {
+    val rnd = new Random(114)
+    var (proven, unreachable) = (0, 0)
+    for (trial <- 1 to 40) {
+      val g = randomGraph(rnd, 30)
+      val cells = g.nodes.keys.toIndexedSeq
+      for (t <- cells; h = AStar.lowerBound(g, t); v <- cells) {
+        referenceDijkstra(g, v, t) match {
+          case Some(d) => assert(h(v) <= d, s"trial $trial: h = ${h(v)} > d = $d for $v -> $t")
+          case None =>
+            unreachable += 1
+            if (h(v) == Double.PositiveInfinity) proven += 1
+        }
+      }
+    }
+    // The landmarks prove most unreachable pairs of these random graphs.
+    assert(proven > unreachable / 2, s"$proven of $unreachable unreachable pairs proven")
+  }
+
+  test("the A* heuristic is consistent: h(u) <= cost(u, v) + h(v) on every edge") {
+    val rnd = new Random(115)
+    for (trial <- 1 to 40) {
+      val g = randomGraph(rnd, 30)
+      for (t <- g.nodes.keys; h = AStar.lowerBound(g, t); e <- g.adjacency.values.flatten)
+        // The tolerance covers the rounding of the table differences (DESIGN.md item 9).
+        assert(h(e.from) <= AStar.edgeCost(e) + h(e.to) + 1e-12,
+          s"trial $trial: ${h(e.from)} > ${AStar.edgeCost(e)} + ${h(e.to)} on $e toward $t")
+    }
+  }
+
+  test("a pair the landmarks prove unreachable returns None with zero nodes expanded") {
+    val rnd = new Random(116)
+    var proven = 0
+    for (_ <- 1 to 20) {
+      val g = randomGraph(rnd, 30)
+      val cells = g.nodes.keys.toIndexedSeq
+      for (t <- cells; h = AStar.lowerBound(g, t); s <- cells if s != t && h(s) == Double.PositiveInfinity) {
+        assert(AStar.shortestPath(g, s, t).isEmpty && Search.lastExpanded == 0, s"$s -> $t")
+        proven += 1
+      }
+    }
+    assert(proven > 0)
   }
 
   test("A* paths traverse only existing edges") {

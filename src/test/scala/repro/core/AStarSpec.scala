@@ -46,6 +46,21 @@ class AStarSpec extends AnyFunSuite {
     val g = graph(chain)
     assert(AStar.shortestPath(g, c(0, 0), c(5, 0)) ==
       Some((0 to 5).map(i => c(i, 0)).toIndexedSeq))
+    // Every node but the goal is expanded once.
+    assert(Search.lastExpanded == 5)
+  }
+
+  test("a pair the landmarks prove unreachable is answered None without expanding a node") {
+    // A 6-cycle (the largest component, so it holds the landmarks), a sink
+    // it reaches and a source that reaches it.
+    val cycle = Seq(c(0, 0), c(1, 0), c(2, 0), c(2, 1), c(1, 1), c(0, 1))
+    val g = graph(cycle.indices.map(i => (cycle(i), cycle((i + 1) % 6), 4L)) ++
+                  Seq((c(1, 0), c(5, 5), 1L), (c(6, 6), c(0, 0), 1L)))
+    for ((s, t) <- Seq((c(5, 5), c(0, 0)), (c(1, 0), c(6, 6)), (c(5, 5), c(6, 6)))) {
+      assert(AStar.lowerBound(g, t)(s) == Double.PositiveInfinity)
+      assert(AStar.shortestPath(g, s, t).isEmpty && Search.lastExpanded == 0, s"$s -> $t")
+    }
+    assert(AStar.shortestPath(g, c(6, 6), c(5, 5)).get.size == 4 && Search.lastExpanded > 0)
   }
 
   test("shorter cell path wins over longer one") {
@@ -131,13 +146,14 @@ class AStarSpec extends AnyFunSuite {
   test("tie-heavy lattice: the same paths as the reference A*") {
     val g = lattice(12)
     for ((s, t) <- randomPairs(g, 400, 7))
-      assert(AStar.shortestPath(g, s, t) == ReferenceAStar.shortestPath(g, s, t), s"$s -> $t")
+      assert(AStar.shortestPath(g, s, t) == ReferenceAStar.shortestPath(g, s, t, AStar.lowerBound(g, t)), s"$s -> $t")
   }
 
   test("4 threads querying at once get the serial paths") {
+    val pairs = randomPairs(lattice(16), 300, 8)
+    val serial = pairs.map { case (s, t) => AStar.shortestPath(lattice(16), s, t) }
+    // A fresh graph: the threads' first queries race to build its landmark tables.
     val g = lattice(16)
-    val pairs = randomPairs(g, 300, 8)
-    val serial = pairs.map { case (s, t) => AStar.shortestPath(g, s, t) }
     val pool = Executors.newFixedThreadPool(4)
     try {
       val tasks = (0 until 4).map { k =>

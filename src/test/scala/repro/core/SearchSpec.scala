@@ -6,6 +6,7 @@ import repro.SparkSpec
 import repro.ais.Datasets
 import repro.exp.Prep
 import repro.h3.HexGrid
+import scala.collection.mutable
 
 /** The A* kernel on a built SAR graph against the reference boxed A*, and
   * the canonical edge order that `fromTables` gives the kernel.
@@ -32,18 +33,75 @@ class SearchSpec extends AnyFunSuite with SparkSpec {
     Seq(cells, edges).foreach(_.unpersist())
   }
 
-  test("every SAR gap: the same cell path as the reference A*") {
-    val g = MotionGraph.build(sar.trainDf, Res)
+  private lazy val sarGraph = MotionGraph.build(sar.trainDf, Res)
+
+  /** Least cost from every cell to `t` (absent if it cannot reach `t`):
+    * a boxed Dijkstra from `t` over the reversed edges.
+    */
+  private def costsTo(g: MotionGraph, t: Long): Map[Long, Double] = {
+    val into = g.adjacency.values.flatten.groupBy(_.to)
+    val dist = mutable.Map(t -> 0.0)
+    val pq = mutable.PriorityQueue((t, 0.0))(Ordering.by[(Long, Double), Double](_._2).reverse)
+    while (pq.nonEmpty) {
+      val (v, dv) = pq.dequeue()
+      if (dv == dist(v)) for (e <- into.getOrElse(v, Nil); c = dv + AStar.edgeCost(e)
+                              if c < dist.getOrElse(e.from, Double.PositiveInfinity)) {
+        dist(e.from) = c; pq.enqueue((e.from, c))
+      }
+    }
+    dist.toMap
+  }
+
+  /** The snapped endpoints of SAR gaps of both lengths, seeds 1-5. */
+  private lazy val sarPairs = {
     val gaps = for (sec <- Seq(3600L, 7200L); seed <- 1L to 5L; gap <- sar.gaps(sec, seed)) yield gap
-    assert(gaps.size > 20)
+    gaps.map(gap => (sarGraph.nearestNode(HexGrid.latLngToCell(gap.from, Res)).get,
+                     sarGraph.nearestNode(HexGrid.latLngToCell(gap.to, Res)).get))
+  }
+
+  test("every SAR gap: the same cell path as the reference A*") {
+    val g = sarGraph
+    assert(sarPairs.size > 20)
     var found = 0
-    for (gap <- gaps) {
-      val s = g.nearestNode(HexGrid.latLngToCell(gap.from, Res)).get
-      val t = g.nearestNode(HexGrid.latLngToCell(gap.to, Res)).get
+    for ((s, t) <- sarPairs) {
       val got = AStar.shortestPath(g, s, t)
-      assert(got == ReferenceAStar.shortestPath(g, s, t), s"gap of trip ${gap.tripId}")
+      assert(got == ReferenceAStar.shortestPath(g, s, t, AStar.lowerBound(g, t)), s"$s -> $t")
       if (got.isDefined) found += 1
     }
-    assert(found > gaps.size / 2)
+    assert(found > sarPairs.size / 2)
+  }
+
+  test("every SAR gap: the path costs the least cost of a reference Dijkstra") {
+    val g = sarGraph
+    for ((s, t) <- sarPairs) {
+      val least = costsTo(g, t).get(s)
+      val got = AStar.shortestPath(g, s, t)
+      assert(got.isDefined == least.isDefined, s"$s -> $t")
+      for (path <- got) {
+        val cost = path.sliding(2).collect { case Seq(a, b) =>
+          AStar.edgeCost(g.adjacency(a).filter(_.to == b).minBy(AStar.edgeCost))
+        }.sum
+        assert(math.abs(cost - least.get) < 1e-9, s"$s -> $t: $cost vs ${least.get}")
+      }
+    }
+  }
+
+  test("SAR graph: the heuristic is admissible toward sampled goals, +∞ only if unreachable") {
+    val g = sarGraph
+    val cells = g.nodes.keys.toIndexedSeq.sorted
+    val rnd = new scala.util.Random(3)
+    var proven = 0
+    for (t <- Seq.fill(12)(cells(rnd.nextInt(cells.size)))) {
+      val d = costsTo(g, t); val h = AStar.lowerBound(g, t)
+      for (v <- cells) d.get(v) match {
+        case Some(dv) => assert(h(v) <= dv, s"h = ${h(v)} > d = $dv for $v -> $t")
+        case None =>
+          if (h(v) == Double.PositiveInfinity) {
+            proven += 1
+            assert(AStar.shortestPath(g, v, t).isEmpty && Search.lastExpanded == 0, s"$v -> $t")
+          }
+      }
+    }
+    assert(proven > 0)
   }
 }

@@ -159,6 +159,20 @@ class GeoSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Geo.densify(Seq(LatLng(0, 0), LatLng(1, 1)), 0.0))
   }
 
+  test("densify: bit-identical to the reference on random paths and generator lanes") {
+    def bits(p: Seq[LatLng]): Seq[(Long, Long)] =
+      p.map(q => (java.lang.Double.doubleToRawLongBits(q.lat), java.lang.Double.doubleToRawLongBits(q.lon)))
+    val rnd = new Random(7)
+    val random = Seq.fill(200) {
+      val n = rnd.nextInt(12)
+      (List.fill(n)(LatLng(54 + rnd.nextDouble() * 3, 10 + rnd.nextDouble() * 3)), 50.0 + rnd.nextDouble() * 5000)
+    }
+    val lanes = (repro.ais.Datasets.danSpecs(20) ++ repro.ais.Datasets.sarSpecs(20, 8)).map(spec =>
+      (spec.wpts.grouped(2).map(a => LatLng(a(0), a(1))).toSeq, 100.0))
+    for ((p, gap) <- random ++ lanes; (in: Seq[LatLng]) <- Seq(p, p.toVector))
+      assert(bits(Geo.densify(in, gap)) == bits(ReferenceGeo.densify(in, gap)), s"$gap m: $in")
+  }
+
   test("turnAngles: straight path has ~zero turns") {
     val p = Seq(LatLng(0, 12), LatLng(0, 12.5), LatLng(0, 13))
     assert(Geo.turnAnglesDeg(p).forall(_ < 0.01))
