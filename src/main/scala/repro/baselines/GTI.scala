@@ -26,6 +26,7 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
                          rdDeg: Double, bucket: Map[(Long, Long), Array[Int]]) extends Serializable {
 
   private val cosLat: Array[Double] = lats.map(lat => math.cos(Geo.toRad(lat)))
+  private val maxAbsLat: Double = lats.foldLeft(0.0)((m, lat) => math.max(m, math.abs(lat)))
 
   def nodeCount: Int = lats.length
   def edgeCount: Int = tgt.length
@@ -43,21 +44,25 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
     bos.size().toLong
   }
 
-  /** Index of the training point nearest to `p` (expanding bucket rings;
-    * ring k visits only the buckets at Chebyshev distance k, in dq-major
-    * order).
+  /** Index of the training point nearest to `p`, the least index among
+    * ties: expanding rings of buckets (ring k holds the buckets at Chebyshev
+    * distance k), while the least distance a ring's points can have, that
+    * of (k - 1)·rd degrees of longitude on the parallel of the largest |lat|,
+    * does not exceed the best found (DESIGN.md item 12).
     */
   def nearestNode(p: LatLng): Int = {
-    var ring = 0
-    val (bq, br) = (math.floor(p.lat / rdDeg).toLong, math.floor(p.lon / rdDeg).toLong)
+    val (bq, br) = GTI.key(p.lat, p.lon, rdDeg)
     val cosP = math.cos(Geo.toRad(p.lat))
+    val farLat = math.max(maxAbsLat, math.abs(p.lat))
     var best = -1; var bestD = Double.PositiveInfinity
     def visit(dq: Int, dr: Int): Unit =
       for (i <- bucket.getOrElse((bq + dq, br + dr), Array.empty[Int])) {
         val d = Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i))
-        if (d < bestD) { bestD = d; best = i }
+        if (d < bestD || (d == bestD && i < best)) { bestD = d; best = i }
       }
-    while (ring < 1000) {
+    var ring = 0
+    while (ring < 1000 &&
+           (best < 0 || Geo.haversineM(farLat, 0.0, farLat, (ring - 1) * rdDeg) <= bestD)) {
       var dq = -ring
       while (dq <= ring) {
         if (math.abs(dq) == ring) {
@@ -66,11 +71,11 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
         } else { visit(dq, -ring); visit(dq, ring) }
         dq += 1
       }
-      if (best >= 0) return best
       ring += 1
     }
-    // Degenerate fallback: full scan.
-    (0 until lats.length).minBy(i => Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i)))
+    if (ring < 1000) best
+    // Degenerate fallback: full scan; `minBy` keeps the least index among ties.
+    else (0 until lats.length).minBy(i => Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i)))
   }
 
   /** Impute the gap between `from` and `to`: Dijkstra over the point graph

@@ -21,7 +21,8 @@ final case class HabitConfig(res: Int = 9, toleranceM: Double = 100.0,
 
 /** The HABIT imputer (paper §3.3–3.4). Given the two endpoints of a gap:
   *  1. project both onto H3 cells; snap to the nearest graph node if the
-  *     cell is unseen in the historical data;
+  *     cell is unseen in the historical data (least hex distance, smallest
+  *     id among ties);
   *  2. A* over the motion graph for the most frequent shortest cell path;
   *  3. inverse-project the cell sequence to coordinates (center or median);
   *  4. RDP-simplify for a navigable path.
@@ -32,6 +33,7 @@ final case class HabitConfig(res: Int = 9, toleranceM: Double = 100.0,
   */
 final class Habit(val graph: MotionGraph, val config: HabitConfig) extends Serializable {
   require(graph.res == config.res, s"graph res ${graph.res} != config res ${config.res}")
+  graph.landmarks // A*'s tables are built here, so no query pays for them.
 
   /** Impute the gap between `from` and `to`; returns the full path
     * including both gap endpoints.

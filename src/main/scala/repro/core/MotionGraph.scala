@@ -81,33 +81,51 @@ final class MotionGraph private (val res: Int,
     if (i >= 0) LatLng(medLat(i), medLon(i)) else HexGrid.cellCenter(cell)
   }
 
-  /** Nearest graph node to `cell`: the node at the least hex distance, the
-    * smallest cell id among ties.
+  /** Nearest graph node to `cell` (at the graph's resolution): the node at
+    * the least hex distance, the smallest cell id among ties.
     */
   def nearestNode(cell: Long): Option[Long] = {
     val i = nearestIndex(cell)
     if (i < 0) None else Some(ids(i))
   }
 
-  /** Index of the node [[nearestNode]] picks; -1 on an empty graph. An
-    * expanding k-ring search (cheap, local) up to `MaxRing` rings, then a
-    * full scan; both take the least index, so the smallest id, among ties.
+  /** Index of the node [[nearestNode]] picks; -1 on an empty graph. A scan
+    * of the axial columns outward from the query's: in column q0 + dq the
+    * hex distance is |dq| over one run of rows and grows outside it, so the
+    * nodes at that run's first row's insertion point and just before it
+    * are the column's nearest. It keeps the least (distance, index) and
+    * stops once |dq| exceeds that distance (DESIGN.md item 8).
     */
   def nearestIndex(cell: Long): Int = {
-    val self = indexOf(cell)
-    if (self >= 0) return self
-    var k = 1
-    while (k <= MotionGraph.MaxRing) {
-      var best = -1
-      for (c <- HexGrid.ring(cell, k)) {
-        val i = indexOf(c)
-        if (i >= 0 && (best < 0 || i < best)) best = i
+    require(HexGrid.resolution(cell) == res, s"cell $cell is not at the graph's resolution $res")
+    val n = ids.length
+    if (n == 0) return -1
+    val q0 = HexGrid.axialQ(cell); val r0 = HexGrid.axialR(cell)
+    var best = -1; var bestD = Int.MaxValue
+    var dq = math.max(0, math.max(q(0) - q0, q0 - q(n - 1)))
+    while (dq <= bestD && (q0 - dq >= q(0) || q0 + dq <= q(n - 1))) {
+      var side = if (dq == 0) 1 else -1
+      while (side <= 1) {
+        val col = q0 + side * dq
+        if (col >= q(0) && col <= q(n - 1)) {
+          // The run's first row, clamped to the rows an id can hold.
+          val lo = math.max(r0 - math.max(side * dq, 0), -HexGrid.MaxAxial)
+          val at = Arrays.binarySearch(ids, HexGrid.encode(res, col, lo))
+          val pos = if (at >= 0) at else -at - 1
+          var j = math.max(pos - 1, 0)
+          while (j <= math.min(pos, n - 1)) {
+            if (q(j) == col) {
+              val d = HexGrid.axialDistance(col - q0, r(j) - r0)
+              if (d < bestD || (d == bestD && j < best)) { best = j; bestD = d }
+            }
+            j += 1
+          }
+        }
+        side += 2
       }
-      if (best >= 0) return best
-      k += 1
+      dq += 1
     }
-    // Full scan; `minBy` keeps the first, so the smallest id, among ties.
-    if (ids.isEmpty) -1 else ids.indices.minBy(i => HexGrid.gridDistance(cell, ids(i)))
+    best
   }
 
   /** Serialized footprint in bytes — the Table 2 storage metric. */
@@ -129,11 +147,6 @@ final class MotionGraph private (val res: Int,
 }
 
 object MotionGraph {
-
-  /** Rings searched around an off-graph cell before the full scan. The
-    * result does not depend on it: both pick the same node.
-    */
-  private val MaxRing = 16
 
   /** Strongly connected components of a CSR graph: an iterative Tarjan,
     * roots and out-edges taken in index order. Component ids count from 0

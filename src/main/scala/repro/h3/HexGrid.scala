@@ -16,6 +16,8 @@ import repro.geo.{Geo, LatLng}
   *
   * Cell ids are 64-bit longs encoding (resolution, q, r); `gridDistance`
   * is the standard axial hex distance, the analogue of h3_grid_distance.
+  * Sorted ids run column by column (q), each column sorted by r; the
+  * nearest-node snap (`MotionGraph.nearestIndex`) scans those columns.
   */
 object HexGrid {
   /** Average hex edge length in meters at resolution `res` (H3-matched). */
@@ -26,10 +28,11 @@ object HexGrid {
 
   private val Offset  = 1 << 23            // axial coords stored offset-binary in 24 bits
   private val Mask24  = (1L << 24) - 1
+  val MaxAxial: Int   = Offset - 1         // the largest |q| or |r| a cell id holds
 
-  /** Pack (res, q, r) into a cell id. */
+  /** Pack (res, q, r) into a cell id. Ids sort by (res, q, r). */
   def encode(res: Int, q: Int, r: Int): Long = {
-    require(math.abs(q) < Offset && math.abs(r) < Offset, s"axial coord overflow: ($q,$r)")
+    require(math.abs(q) <= MaxAxial && math.abs(r) <= MaxAxial, s"axial coord overflow: ($q,$r)")
     (res.toLong << 48) | ((q + Offset).toLong << 24) | (r + Offset).toLong
   }
 
@@ -90,31 +93,6 @@ object HexGrid {
   /** Hex distance in cells of the axial offset (dq, dr). */
   def axialDistance(dq: Int, dr: Int): Int =
     (math.abs(dq) + math.abs(dr) + math.abs(dq + dr)) / 2
-
-  /** All cells at exactly hex distance `k` from `cell` (k-ring boundary);
-    * k = 0 yields the cell itself. Used for nearest-graph-node search.
-    */
-  def ring(cell: Long, k: Int): Seq[Long] = {
-    val res = resolution(cell); val cq = axialQ(cell); val cr = axialR(cell)
-    if (k == 0) Seq(cell)
-    else {
-      val dirs = Array((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
-      val out  = Seq.newBuilder[Long]
-      var q = cq + dirs(4)._1 * k
-      var r = cr + dirs(4)._2 * k
-      var side = 0
-      while (side < 6) {
-        var step = 0
-        while (step < k) {
-          out += encode(res, q, r)
-          q += dirs(side)._1; r += dirs(side)._2
-          step += 1
-        }
-        side += 1
-      }
-      out.result()
-    }
-  }
 
   private def cubeRound(qf: Double, rf: Double): (Int, Int) = {
     val sf = -qf - rf

@@ -1,10 +1,10 @@
 package repro
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AStar, GraphEdge, GraphNode, MotionGraph, ReferenceAStar, Search}
+import repro.core.{AStar, GraphEdge, GraphNode, MotionGraph, ReferenceAStar, ReferenceSnap, Search}
 import repro.eval.DTW
 import repro.geo.{Geo, LatLng, RDP}
-import repro.h3.HexGrid
+import repro.h3.{HexGrid, Rings}
 import scala.collection.mutable
 import scala.util.Random
 
@@ -141,12 +141,13 @@ class PropertySpec extends AnyFunSuite {
       val g = randomGraph(rnd, 30)
       val cells = g.nodes.keys.toIndexedSeq.sorted
       for (_ <- 1 to 50) {
-        // A query 0-20 rings from a node: the ring search finds the nearest
-        // node within 16 rings, the full scan beyond.
-        val ring = HexGrid.ring(cells(rnd.nextInt(cells.size)), rnd.nextInt(21))
+        // A query 0-60 rings from a node, inside the graph's columns or
+        // beyond them: the column scan against the exhaustive reference.
+        val ring = Rings.ring(cells(rnd.nextInt(cells.size)), rnd.nextInt(61))
         val q = ring(rnd.nextInt(ring.size))
         val want = g.nodes.keys.minBy(c => (HexGrid.gridDistance(q, c), c))
         assert(g.nearestNode(q) == Some(want), s"query $q")
+        assert(g.nearestIndex(q) == ReferenceSnap.nearestIndex(g, q), s"query $q")
         if (HexGrid.gridDistance(q, want) > 16) far += 1 else near += 1
       }
     }
@@ -237,7 +238,7 @@ class PropertySpec extends AnyFunSuite {
     val rnd = new Random(109)
     for (_ <- 1 to 50) {
       val c = HexGrid.latLngToCell(LatLng(50 + rnd.nextDouble() * 10, 10 + rnd.nextDouble() * 5), 8)
-      val centers = (HexGrid.ring(c, 1) :+ c).map(HexGrid.cellCenter)
+      val centers = (Rings.ring(c, 1) :+ c).map(HexGrid.cellCenter)
       assert(centers.distinct.size == 7)
     }
   }

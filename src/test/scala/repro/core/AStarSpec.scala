@@ -169,7 +169,7 @@ class AStarSpec extends AnyFunSuite {
     } finally pool.shutdown()
   }
 
-  test("nearestNode's full scan takes a node at the least hex distance") {
+  test("nearestNode beyond 16 rings takes a node at the least hex distance") {
     val g = graph((0 until 6).map(i => (c(10 - i, i), c(i, 0), 1L)))
     val far = c(0, 40)
     val best = g.nodes.keys.map(HexGrid.gridDistance(far, _)).min

@@ -9,7 +9,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.ais.Datasets
 import repro.exp.Prep
-import repro.h3.HexGrid
+import repro.h3.{HexGrid, Rings}
 import repro.preprocess.{Cleaner, ReferenceCleaner, ReferenceTripSegmenter, TripSegmenter}
 
 /** The build over one vessel_id shuffle against the reference stages it
@@ -117,12 +117,12 @@ class BuildSpec extends AnyFunSuite with SparkSpec {
     raw.unpersist()
   }
 
-  test("snapping beyond the ring budget takes the smallest id among the nearest nodes") {
-    // Six nodes on one ring around `far`: all tie on hex distance. The ring
-    // search finds those of radius 3; those of radius 17 need the full scan.
+  test("snapping takes the smallest id among nearest nodes tied across columns") {
+    // Six nodes on one ring around `far`, in different axial columns: all
+    // tie on hex distance, near (radius 3) and farther out (radius 17).
     val far = HexGrid.latLngToCell(repro.geo.LatLng(54.5, 11.0), 9)
     for (k <- Seq(3, 17)) {
-      val ring = HexGrid.ring(far, k).take(6)
+      val ring = Rings.ring(far, k).take(6)
       val g = MotionGraph(9, ring.map(c => GraphNode(c, 0.0, 0.0, 1, 1)), Nil)
       assert(g.nearestNode(far) == Some(ring.min), s"radius $k")
     }

@@ -96,6 +96,19 @@ class HabitSpec extends AnyFunSuite with SparkSpec {
     assert(p.head == offFrom && p.last == g.to)
   }
 
+  test("constructing a Habit builds the landmark tables, so no impute does") {
+    // The lazy val's backing field stays null until the tables are built.
+    val field = classOf[MotionGraph].getDeclaredField("landmarks")
+    field.setAccessible(true)
+    val g = MotionGraph.build(trainDf, 8, exact = true)
+    assert(field.get(g) == null)
+    val h = new Habit(g, HabitConfig(8, 100))
+    val tables = field.get(g)
+    assert(tables != null)
+    for (gap <- gaps.take(5)) h.impute(gap.from, gap.to)
+    assert(field.get(g) eq tables)
+  }
+
   test("empty graph falls back to the straight segment") {
     val h = new Habit(MotionGraph(8, Nil, Nil), HabitConfig(8, 100))
     val p = h.impute(LatLng(55, 11), LatLng(55.5, 11.2))

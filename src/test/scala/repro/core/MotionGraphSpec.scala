@@ -58,12 +58,36 @@ class MotionGraphSpec extends AnyFunSuite with SparkSpec {
   test("nearestNode on an empty graph is None") {
     val empty = MotionGraph(8, Nil, Nil)
     assert(empty.nearestNode(HexGrid.latLngToCell(LatLng(55, 11), 8)).isEmpty)
+    assert(empty.nearestIndex(HexGrid.encode(8, 3, -2)) == -1)
   }
 
-  test("nearestNode falls back to full scan beyond the ring budget") {
+  test("nearestNode snaps a cell more than 16 rings from every node") {
     val far = HexGrid.latLngToCell(LatLng(30.0, -40.0), 8)
     assert(g8.nodes.keys.forall(HexGrid.gridDistance(far, _) > 16))
     assert(g8.nearestNode(far).isDefined)
+  }
+
+  private def nodesAt(res: Int, cells: Seq[(Int, Int)]): MotionGraph =
+    MotionGraph(res, cells.map { case (q, r) => GraphNode(HexGrid.encode(res, q, r), 0.0, 0.0, 1, 1) }, Nil)
+
+  test("a graph of one node snaps every cell to it") {
+    val g = nodesAt(9, Seq((5, -7)))
+    for ((q, r) <- Seq((5, -7), (5, 40), (-30, -7), (100, -100), (-HexGrid.MaxAxial, HexGrid.MaxAxial)))
+      assert(g.nearestIndex(HexGrid.encode(9, q, r)) == 0, s"($q, $r)")
+  }
+
+  test("queries at the edges of the axial range snap like the reference") {
+    val m = HexGrid.MaxAxial
+    val g = nodesAt(9, Seq((0, 0), (3, -2), (-4, 7), (3, 5), (10, -10), (-m, 0), (m, -m)))
+    for (q <- Seq(-m, -m + 1, 0, m - 1, m); r <- Seq(-m, -1, 0, 1, m)) {
+      val c = HexGrid.encode(9, q, r)
+      assert(g.nearestIndex(c) == ReferenceSnap.nearestIndex(g, c), s"($q, $r)")
+    }
+  }
+
+  test("nearestNode rejects a cell at another resolution") {
+    val e = intercept[IllegalArgumentException](g8.nearestNode(HexGrid.latLngToCell(LatLng(55.0, 11.05), 9)))
+    assert(e.getMessage.contains("not at the graph's resolution 8"))
   }
 
   test("graph is deterministic across rebuilds") {

@@ -59,6 +59,19 @@ class SearchSpec extends AnyFunSuite with SparkSpec {
                      sarGraph.nearestNode(HexGrid.latLngToCell(gap.to, Res)).get))
   }
 
+  test("every SAR gap endpoint snaps to the reference's node, beyond 16 rings too") {
+    val g = sarGraph
+    val cells = for (sec <- Seq(3600L, 7200L); seed <- 1L to 5L; gap <- sar.gaps(sec, seed);
+                     p <- Seq(gap.from, gap.to)) yield HexGrid.latLngToCell(p, Res)
+    var beyond = 0
+    for (c <- cells) {
+      val i = g.nearestIndex(c)
+      assert(i == ReferenceSnap.nearestIndex(g, c), s"cell $c")
+      if (HexGrid.gridDistance(c, g.ids(i)) > 16) beyond += 1
+    }
+    assert(cells.size > 40 && beyond > 0, s"${cells.size} endpoints, $beyond beyond 16 rings")
+  }
+
   test("every SAR gap: the same cell path as the reference A*") {
     val g = sarGraph
     assert(sarPairs.size > 20)

@@ -136,9 +136,9 @@ class HexGridSpec extends AnyFunSuite with SparkSpec {
 
   test("ring(0) is the cell itself; ring(k) has 6k cells") {
     val c = HexGrid.latLngToCell(LatLng(55.5, 11.5), 8)
-    assert(HexGrid.ring(c, 0) == Seq(c))
+    assert(Rings.ring(c, 0) == Seq(c))
     for (k <- 1 to 5) {
-      val ring = HexGrid.ring(c, k)
+      val ring = Rings.ring(c, k)
       assert(ring.size == 6 * k)
       assert(ring.distinct.size == ring.size)
       assert(ring.forall(x => HexGrid.gridDistance(c, x) == k))
@@ -147,7 +147,7 @@ class HexGridSpec extends AnyFunSuite with SparkSpec {
 
   test("rings partition a disk: all cells within distance k appear once") {
     val c   = HexGrid.latLngToCell(LatLng(55.5, 11.5), 8)
-    val all = (0 to 3).flatMap(HexGrid.ring(c, _))
+    val all = (0 to 3).flatMap(Rings.ring(c, _))
     assert(all.distinct.size == all.size)
     assert(all.size == 1 + 6 + 12 + 18)
   }
