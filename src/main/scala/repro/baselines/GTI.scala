@@ -1,7 +1,8 @@
 package repro.baselines
 
 import repro.core.Search
-import repro.geo.{Geo, LatLng}
+import repro.geo.{EndpointFilter, Geo, LatLng}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** Reimplementation of GTI (Isufaj et al., SIGSPATIAL 2023) — the paper's
@@ -17,13 +18,13 @@ import scala.collection.mutable
   * Per-point cross-trajectory edges are capped (`MaxCross`) so dense lanes
   * stay computable at bench scale; the cap is far above what the sparse
   * configurations produce, so the paper's size-vs-rd explosion (Table 2)
-  * is preserved. `bucket` holds the indices of the points in each rd × rd
+  * is preserved. `buckets` holds the indices of the points in each rd × rd
   * bucket, in index order: the build finds cross edges with it, and
   * snapping searches it.
   */
 final class GTI private (lats: Array[Double], lons: Array[Double],
                          off: Array[Int], tgt: Array[Int], cost: Array[Double],
-                         rdDeg: Double, bucket: Map[(Long, Long), Array[Int]]) extends Serializable {
+                         rdDeg: Double, buckets: GTI.Buckets) extends Serializable {
 
   private val cosLat: Array[Double] = lats.map(lat => math.cos(Geo.toRad(lat)))
   private val maxAbsLat: Double = lats.foldLeft(0.0)((m, lat) => math.max(m, math.abs(lat)))
@@ -51,15 +52,22 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
     * does not exceed the best found (DESIGN.md item 12).
     */
   def nearestNode(p: LatLng): Int = {
-    val (bq, br) = GTI.key(p.lat, p.lon, rdDeg)
+    val bq = GTI.bucketOf(p.lat, rdDeg); val br = GTI.bucketOf(p.lon, rdDeg)
     val cosP = math.cos(Geo.toRad(p.lat))
     val farLat = math.max(maxAbsLat, math.abs(p.lat))
     var best = -1; var bestD = Double.PositiveInfinity
-    def visit(dq: Int, dr: Int): Unit =
-      for (i <- bucket.getOrElse((bq + dq, br + dr), Array.empty[Int])) {
-        val d = Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i))
-        if (d < bestD || (d == bestD && i < best)) { bestD = d; best = i }
+    def visit(dq: Int, dr: Int): Unit = {
+      val b = buckets.slot(bq + dq, br + dr)
+      if (b >= 0) {
+        var k = buckets.start(b)
+        while (k < buckets.start(b + 1)) {
+          val i = buckets.points(k)
+          val d = Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i))
+          if (d < bestD || (d == bestD && i < best)) { bestD = d; best = i }
+          k += 1
+        }
       }
+    }
     var ring = 0
     while (ring < 1000 &&
            (best < 0 || Geo.haversineM(farLat, 0.0, farLat, (ring - 1) * rdDeg) <= bestD)) {
@@ -85,9 +93,12 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
   def impute(from: LatLng, to: LatLng): IndexedSeq[LatLng] =
     shortestPath(nearestNode(from), nearestNode(to)) match {
       case Some(path) =>
-        val mid = path.toIndexedSeq.map(i => LatLng(lats(i), lons(i)))
-          .filter(p => Geo.haversineM(p, from) > 1.0 && Geo.haversineM(p, to) > 1.0)
-        from +: mid :+ to
+        val ends = new EndpointFilter(from, to)
+        val out = ArraySeq.newBuilder[LatLng]
+        out += from
+        for (i <- path if ends.keeps(lats(i), lons(i))) out += LatLng(lats(i), lons(i))
+        out += to
+        out.result()
       case None => IndexedSeq(from, to)
     }
 
@@ -110,8 +121,35 @@ object GTI {
   /** Cross-trajectory edges kept per point, the nearest first. */
   private val MaxCross = 16
 
-  private def key(lat: Double, lon: Double, rd: Double): (Long, Long) =
-    (math.floor(lat / rd).toLong, math.floor(lon / rd).toLong)
+  /** The bucket row (of a latitude) or column (of a longitude). */
+  private def bucketOf(deg: Double, rd: Double): Long = math.floor(deg / rd).toLong
+
+  /** The rd × rd buckets that hold points, in the way `MotionGraph` stores
+    * its cells: the buckets' packed (row, column) keys sorted, and the
+    * points of the bucket in slot b at `points(start(b) until start(b + 1))`,
+    * in index order.
+    */
+  private final class Buckets(keys: Array[Long], val start: Array[Int], val points: Array[Int])
+      extends Serializable {
+    /** The slot of bucket (q, r), -1 when no point lies in it. */
+    def slot(q: Long, r: Long): Int =
+      if (q != q.toInt || r != r.toInt) -1
+      else math.max(-1, java.util.Arrays.binarySearch(keys, pack(q, r)))
+  }
+
+  private def pack(q: Long, r: Long): Long = (q << 32) | (r & 0xFFFFFFFFL)
+
+  private def buckets(lats: Array[Double], lons: Array[Double], rd: Double): Buckets = {
+    val key = Array.tabulate(lats.length) { i =>
+      val q = bucketOf(lats(i), rd); val r = bucketOf(lons(i), rd)
+      require(q == q.toInt && r == r.toInt, s"rd = $rd degrees is too fine to number the buckets")
+      pack(q, r)
+    }
+    // A stable sort by key keeps each bucket's points in index order.
+    val points = key.indices.sortBy(key(_)).toArray
+    val first = points.indices.filter(k => k == 0 || key(points(k)) != key(points(k - 1))).toArray
+    new Buckets(first.map(k => key(points(k))), first :+ points.length, points)
+  }
 
   /** Build a GTI model from training trips: each trip is an ordered point
     * sequence (the harness supplies them post-segmentation).
@@ -140,16 +178,18 @@ object GTI {
     }
 
     // (b) cross-trajectory proximity edges within rd degrees and rm meters.
-    val buckets = (0 until n).groupBy(i => key(lats(i), lons(i), rdDeg)).view.mapValues(_.toArray).toMap
+    val index = buckets(lats, lons, rdDeg)
     for (i <- 0 until n) {
-      val (bq, br) = key(lats(i), lons(i), rdDeg)
+      val bq = bucketOf(lats(i), rdDeg); val br = bucketOf(lons(i), rdDeg)
       val cands = mutable.ArrayBuffer.empty[(Int, Double)]
       var dq = -1
       while (dq <= 1) {
         var dr = -1
         while (dr <= 1) {
-          for (j <- buckets.getOrElse((bq + dq, br + dr), Array.empty[Int]) if j != i) {
-            if (math.abs(lats(j) - lats(i)) <= rdDeg && math.abs(lons(j) - lons(i)) <= rdDeg) {
+          val b = index.slot(bq + dq, br + dr)
+          if (b >= 0) for (k <- index.start(b) until index.start(b + 1)) {
+            val j = index.points(k)
+            if (j != i && math.abs(lats(j) - lats(i)) <= rdDeg && math.abs(lons(j) - lons(i)) <= rdDeg) {
               val d = Geo.haversineM(pts(i), pts(j))
               if (d <= rmM) cands += ((j, d))
             }
@@ -162,6 +202,6 @@ object GTI {
     }
     val off = adj.scanLeft(0)(_ + _.size)
     val es  = adj.flatten
-    new GTI(lats, lons, off, es.map(_._1), es.map(_._2), rdDeg, buckets)
+    new GTI(lats, lons, off, es.map(_._1), es.map(_._2), rdDeg, index)
   }
 }

@@ -1,7 +1,8 @@
 package repro.core
 
-import repro.geo.{Geo, LatLng, RDP}
+import repro.geo.{EndpointFilter, LatLng, RDP}
 import repro.h3.HexGrid
+import scala.collection.immutable.ArraySeq
 
 /** Inverse-projection option for cell → coordinates (paper §3.3, Figure 2):
   * `Center` uses the geometric cell center (p = c); `Median` uses the
@@ -41,18 +42,37 @@ final class Habit(val graph: MotionGraph, val config: HabitConfig) extends Seria
   def impute(from: LatLng, to: LatLng): IndexedSeq[LatLng] = {
     val s = graph.nearestIndex(HexGrid.latLngToCell(from, config.res))
     val g = graph.nearestIndex(HexGrid.latLngToCell(to, config.res))
-    val path = if (s < 0 || g < 0) None else AStar.search(graph, s, g)
-    val mid: IndexedSeq[LatLng] = path match {
-      case Some(nodes) => nodes.toIndexedSeq.map {
-        i => config.projection match {
-          case Projection.Center => HexGrid.cellCenter(graph.ids(i))
-          case Projection.Median => LatLng(graph.medLat(i), graph.medLon(i))
-        }
-      }
-      case None => IndexedSeq.empty
+    val cells = (if (s < 0 || g < 0) None else AStar.search(graph, s, g)).getOrElse(Array.emptyIntArray)
+    // One pass from the cell path to the polyline from, interior, to in
+    // primitive arrays, dropping the projected vertices that sit on top
+    // of the fixed endpoints.
+    val lat = new Array[Double](cells.length + 2)
+    val lon = new Array[Double](cells.length + 2)
+    val ends = new EndpointFilter(from, to)
+    val median = config.projection == Projection.Median
+    lat(0) = from.lat; lon(0) = from.lon
+    var n = 1
+    var k = 0
+    while (k < cells.length) {
+      val i = cells(k)
+      val c = if (median) null else HexGrid.cellCenter(graph.ids(i))
+      val pLat = if (median) graph.medLat(i) else c.lat
+      val pLon = if (median) graph.medLon(i) else c.lon
+      if (ends.keeps(pLat, pLon)) { lat(n) = pLat; lon(n) = pLon; n += 1 }
+      k += 1
     }
-    // Drop interpolated vertices that sit on top of the fixed endpoints.
-    val interior = mid.filter(p => Geo.haversineM(p, from) > 1.0 && Geo.haversineM(p, to) > 1.0)
-    RDP.simplify(from +: interior :+ to, config.toleranceM)
+    lat(n) = to.lat; lon(n) = to.lon
+    n += 1
+    // RDP, then the result's one boxed copy, with the endpoints themselves.
+    val keep = RDP.keep(lat, lon, n, config.toleranceM)
+    var size = 0
+    k = 0
+    while (k < n) { if (keep(k)) size += 1; k += 1 }
+    val out = new Array[LatLng](size)
+    out(0) = from; out(size - 1) = to
+    var j = 1
+    k = 1
+    while (k < n - 1) { if (keep(k)) { out(j) = LatLng(lat(k), lon(k)); j += 1 }; k += 1 }
+    ArraySeq.unsafeWrapArray(out)
   }
 }

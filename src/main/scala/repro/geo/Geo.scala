@@ -3,6 +3,30 @@ package repro.geo
 /** A WGS-84 position in degrees. */
 final case class LatLng(lat: Double, lon: Double)
 
+/** The imputers' endpoint filter: a path vertex between the two gap
+  * endpoints is kept only when it lies more than 1 m from both, so no
+  * projected vertex duplicates an endpoint. `keeps(lat, lon)` decides
+  * exactly as `Geo.haversineM(p, from) > 1.0 && Geo.haversineM(p, to) > 1.0`
+  * with p = LatLng(lat, lon), for latitudes in [-90, 90]: it takes each
+  * endpoint's cos(lat) once, and an endpoint whose latitude differs from
+  * the vertex's by more than `Geo.ApartLatDeg` is proven more than 1 m
+  * away without the haversine (DESIGN.md item 10).
+  */
+final class EndpointFilter(from: LatLng, to: LatLng) {
+  private val cosFrom = math.cos(Geo.toRad(from.lat))
+  private val cosTo   = math.cos(Geo.toRad(to.lat))
+
+  def keeps(lat: Double, lon: Double): Boolean = {
+    val farFrom = math.abs(lat - from.lat) > Geo.ApartLatDeg
+    val farTo   = math.abs(lat - to.lat) > Geo.ApartLatDeg
+    farFrom && farTo || {
+      val cosP = math.cos(Geo.toRad(lat))
+      (farFrom || Geo.haversineM(lat, lon, cosP, from.lat, from.lon, cosFrom) > 1.0) &&
+        (farTo || Geo.haversineM(lat, lon, cosP, to.lat, to.lon, cosTo) > 1.0)
+    }
+  }
+}
+
 /** Core geodesic utilities shared by the grid index, the imputers, the
   * synthetic AIS generator and the evaluation metrics.
   *
@@ -33,6 +57,12 @@ object Geo {
     val s = math.pow(math.sin(dLat / 2), 2) + cos1 * cos2 * math.pow(math.sin(dLon / 2), 2)
     2 * EarthRadiusM * math.asin(math.min(1.0, math.sqrt(s)))
   }
+
+  /** A latitude difference (degrees) that alone puts two points more than
+    * 1 m apart: the haversine distance is at least R·|Δφ|, and 1e-4° is
+    * about 11.1 m, far beyond any rounding of the 1 m decision.
+    */
+  private[geo] val ApartLatDeg: Double = 1e-4
 
   /** Initial bearing from `a` to `b`, degrees in [0, 360). */
   def bearingDeg(a: LatLng, b: LatLng): Double = {

@@ -88,4 +88,43 @@ class RDPSpec extends AnyFunSuite {
     val s250 = RDP.simplify(p, 250.0)
     assert(s250.size == 2)
   }
+
+  // --- the array kernel against the boxed reference ------------------------
+
+  private def bits(p: Seq[LatLng]): Seq[(Long, Long)] =
+    p.map(q => (java.lang.Double.doubleToRawLongBits(q.lat), java.lang.Double.doubleToRawLongBits(q.lon)))
+
+  private def sameAsReference(p: IndexedSeq[LatLng]): Unit =
+    for (t <- Seq(0.0, 1.0, 100.0, 250.0, 1000.0)) {
+      val want = ReferenceRDP.simplify(p, t)
+      assert(bits(RDP.simplify(p, t)) == bits(want), s"t=$t: $p")
+      val kept = RDP.keep(p.map(_.lat).toArray, p.map(_.lon).toArray, p.size, t)
+      assert(bits(p.indices.filter(kept).map(p)) == bits(want), s"t=$t mask: $p")
+    }
+
+  test("the array kernel keeps the reference's vertices on crafted polylines") {
+    val a = LatLng(55.0, 11.0); val b = LatLng(55.01, 11.0); val c = LatLng(55.01, 11.01); val d = LatLng(55.0, 11.01)
+    val cases = Seq(
+      IndexedSeq.empty, IndexedSeq(a), IndexedSeq(a, c),              // n <= 2
+      IndexedSeq(a, a, a, a),                                         // every point repeated
+      IndexedSeq(a, b, c, d, a),                                      // closed loop: len2 == 0
+      IndexedSeq(a, b, c, b, a, a, d),                                // repeats inside and at the ends
+      IndexedSeq(a, b, c, d),                                         // rectangle: b and c tie
+      IndexedSeq.tabulate(9)(i => LatLng(55.0, 11.0 + i * 0.01)),    // collinear, all at 0
+      IndexedSeq.tabulate(9)(i => LatLng(55.0 + (i % 2) * 0.01, 11.0 + i * 0.01))) // zigzag ties
+    cases.foreach(sameAsReference)
+  }
+
+  test("the array kernel keeps the reference's vertices on random polylines") {
+    val rnd = new Random(9)
+    for (trial <- 1 to 400) {
+      val n = rnd.nextInt(40)
+      val p =
+        if (trial % 2 == 0) // few distinct points: repeats, zero-length chords and ties
+          IndexedSeq.fill(n)(LatLng(55.0 + rnd.nextInt(4) * 0.002, 11.0 + rnd.nextInt(4) * 0.002))
+        else IndexedSeq.tabulate(n)(i =>
+          LatLng(55.0 + math.sin(i / 4.0) * 0.03 + rnd.nextGaussian() * 0.002, 11.0 + i * 0.004))
+      sameAsReference(p)
+    }
+  }
 }
