@@ -49,35 +49,65 @@ final class GTI private (lats: Array[Double], lons: Array[Double],
     * ties: expanding rings of buckets (ring k holds the buckets at Chebyshev
     * distance k), while the least distance a ring's points can have, that
     * of (k - 1)·rd degrees of longitude on the parallel of the largest |lat|,
-    * does not exceed the best found (DESIGN.md item 12).
+    * does not exceed the best found (DESIGN.md item 12). Only buckets that
+    * hold points are visited: a bucket row joins when the rings reach it,
+    * at the slot where column br would sort, and from then on each ring
+    * takes the next slot on either side while its column is within reach.
     */
   def nearestNode(p: LatLng): Int = {
     val bq = GTI.bucketOf(p.lat, rdDeg); val br = GTI.bucketOf(p.lon, rdDeg)
     val cosP = math.cos(Geo.toRad(p.lat))
     val farLat = math.max(maxAbsLat, math.abs(p.lat))
     var best = -1; var bestD = Double.PositiveInfinity
-    def visit(dq: Int, dr: Int): Unit = {
-      val b = buckets.slot(bq + dq, br + dr)
-      if (b >= 0) {
-        var k = buckets.start(b)
-        while (k < buckets.start(b + 1)) {
-          val i = buckets.points(k)
-          val d = Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i))
-          if (d < bestD || (d == bestD && i < best)) { bestD = d; best = i }
-          k += 1
-        }
+    def visit(b: Int): Unit = {
+      var k = buckets.start(b)
+      while (k < buckets.start(b + 1)) {
+        val i = buckets.points(k)
+        val d = Geo.haversineM(p.lat, p.lon, cosP, lats(i), lons(i), cosLat(i))
+        if (d < bestD || (d == bestD && i < best)) { bestD = d; best = i }
+        k += 1
       }
     }
+    val rows = buckets.rows
+    // The next row to join above and below.
+    var up = java.util.Arrays.binarySearch(rows, bq)
+    if (up < 0) up = -up - 1
+    var down = up - 1
+    // Rows joined and not used up: the row, and its next unvisited slot
+    // on the left (-1 when none is left) and on the right (likewise).
+    var row = new Array[Int](8); var left = new Array[Int](8); var right = new Array[Int](8)
+    var open = 0
+    def join(w: Int): Unit = {
+      if (open == row.length) {
+        row = java.util.Arrays.copyOf(row, 2 * open)
+        left = java.util.Arrays.copyOf(left, 2 * open); right = java.util.Arrays.copyOf(right, 2 * open)
+      }
+      val at = buckets.ceiling(w, br)
+      row(open) = w
+      left(open) = if (at > buckets.rowStart(w)) at - 1 else -1
+      right(open) = if (at < buckets.rowStart(w + 1)) at else -1
+      open += 1
+    }
     var ring = 0
-    while (ring < 1000 &&
-           (best < 0 || Geo.haversineM(farLat, 0.0, farLat, (ring - 1) * rdDeg) <= bestD)) {
-      var dq = -ring
-      while (dq <= ring) {
-        if (math.abs(dq) == ring) {
-          var dr = -ring
-          while (dr <= ring) { visit(dq, dr); dr += 1 }
-        } else { visit(dq, -ring); visit(dq, ring) }
-        dq += 1
+    while (ring < 1000 && (best < 0 || Geo.haversineM(farLat, 0.0, farLat, (ring - 1) * rdDeg) <= bestD) &&
+           (best < 0 || open > 0 || up < rows.length || down >= 0)) {
+      if (up < rows.length && rows(up) == bq + ring) { join(up); up += 1 }
+      if (ring > 0 && down >= 0 && rows(down) == bq - ring) { join(down); down -= 1 }
+      var a = 0
+      while (a < open) {
+        val w = row(a)
+        while (left(a) >= 0 && buckets.column(left(a)) >= br - ring) {
+          visit(left(a))
+          left(a) = if (left(a) > buckets.rowStart(w)) left(a) - 1 else -1
+        }
+        while (right(a) >= 0 && buckets.column(right(a)) <= br + ring) {
+          visit(right(a))
+          right(a) = if (right(a) + 1 < buckets.rowStart(w + 1)) right(a) + 1 else -1
+        }
+        if (left(a) < 0 && right(a) < 0) {
+          open -= 1
+          row(a) = row(open); left(a) = left(open); right(a) = right(open)
+        } else a += 1
       }
       ring += 1
     }
@@ -127,17 +157,39 @@ object GTI {
   /** The rd × rd buckets that hold points, in the way `MotionGraph` stores
     * its cells: the buckets' packed (row, column) keys sorted, and the
     * points of the bucket in slot b at `points(start(b) until start(b + 1))`,
-    * in index order.
+    * in index order. Keys sort by row, then column. The distinct rows are
+    * `rows`, and the slots of row `rows(w)` are `rowStart(w) until
+    * rowStart(w + 1)`.
     */
   private final class Buckets(keys: Array[Long], val start: Array[Int], val points: Array[Int])
       extends Serializable {
+    val rowStart: Array[Int] = keys.indices.filter(b => b == 0 || row(b) != row(b - 1)).toArray :+ keys.length
+    val rows: Array[Long] = rowStart.init.map(row)
+
+    def row(b: Int): Long = keys(b) >> 32
+    def column(b: Int): Long = (keys(b) & 0xFFFFFFFFL) + Int.MinValue
+
     /** The slot of bucket (q, r), -1 when no point lies in it. */
     def slot(q: Long, r: Long): Int =
       if (q != q.toInt || r != r.toInt) -1
       else math.max(-1, java.util.Arrays.binarySearch(keys, pack(q, r)))
+
+    /** The first slot of row `rows(w)` whose column is at least r, or
+      * `rowStart(w + 1)` when there is none.
+      */
+    def ceiling(w: Int, r: Long): Int = {
+      val from = rowStart(w); val until = rowStart(w + 1)
+      if (r > Int.MaxValue) until
+      else if (r < Int.MinValue) from
+      else {
+        val at = java.util.Arrays.binarySearch(keys, from, until, pack(rows(w), r))
+        if (at >= 0) at else -at - 1
+      }
+    }
   }
 
-  private def pack(q: Long, r: Long): Long = (q << 32) | (r & 0xFFFFFFFFL)
+  /** (row, column) packed so that keys sort by row, then by column. */
+  private def pack(q: Long, r: Long): Long = (q << 32) | ((r - Int.MinValue) & 0xFFFFFFFFL)
 
   private def buckets(lats: Array[Double], lons: Array[Double], rd: Double): Buckets = {
     val key = Array.tabulate(lats.length) { i =>

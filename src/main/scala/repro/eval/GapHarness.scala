@@ -1,7 +1,9 @@
 package repro.eval
 
 import org.apache.spark.sql.DataFrame
+import java.util.stream.IntStream
 import repro.geo.LatLng
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 
 /** A timestamped position inside a trip. */
@@ -86,18 +88,40 @@ object GapHarness {
   }
 
   /** Run `method` over every gap, recording normalized DTW against the
-    * ground truth and per-query wall-clock latency.
+    * ground truth and per-query wall-clock latency: [[impute]], then
+    * [[score]].
     */
   def evaluate(method: (LatLng, LatLng) => Seq[LatLng], gaps: Seq[Gap]): EvalResult = {
-    val dtws = IndexedSeq.newBuilder[Double]
-    val lats = IndexedSeq.newBuilder[Double]
+    val (paths, latencies) = impute(method, gaps)
+    EvalResult(score(paths, gaps), latencies)
+  }
+
+  /** Impute every gap serially, timing each call: the paths and the
+    * seconds each took, in gap order.
+    */
+  def impute(method: (LatLng, LatLng) => Seq[LatLng],
+             gaps: Seq[Gap]): (IndexedSeq[Seq[LatLng]], IndexedSeq[Double]) = {
+    val paths = IndexedSeq.newBuilder[Seq[LatLng]]
+    val lats  = IndexedSeq.newBuilder[Double]
     for (g <- gaps) {
-      val start   = System.nanoTime()
-      val imputed = method(g.from, g.to)
+      val start = System.nanoTime()
+      paths += method(g.from, g.to)
       lats += (System.nanoTime() - start) / 1e9
-      dtws += DTW.pathErrorM(imputed, g.truth)
     }
-    EvalResult(dtws.result(), lats.result())
+    (paths.result(), lats.result())
+  }
+
+  /** Normalized DTW of each path against its gap's ground truth, in gap
+    * order. The gaps are scored in parallel on the common fork-join pool,
+    * sized to the available cores: each score is independent and DTW keeps
+    * only local state, so the scores equal a serial pass's.
+    */
+  def score(paths: IndexedSeq[Seq[LatLng]], gaps: Seq[Gap]): IndexedSeq[Double] = {
+    val truths = gaps.map(_.truth).toIndexedSeq
+    require(paths.size == truths.size, s"${paths.size} paths for ${truths.size} gaps")
+    val dtws = new Array[Double](truths.size)
+    IntStream.range(0, truths.size).parallel().forEach(i => dtws(i) = DTW.pathErrorM(paths(i), truths(i)))
+    ArraySeq.unsafeWrapArray(dtws)
   }
 
   /** Training trips as bare point sequences (GTI's build input). */

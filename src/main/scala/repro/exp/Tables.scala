@@ -87,7 +87,8 @@ object Tables {
 
   /** Table 4: query latency and DTW accuracy (Figure 5) of HABIT, GTI and
     * SLI over the same 60-min gaps on KIEL and SAR. Each gap is timed as
-    * the median of three calls, after an untimed warm-up pass.
+    * the median of three calls, after an untimed warm-up pass; each path is
+    * DTW-scored once.
     */
   def table4(kiel: Prepared, sar: Prepared): Seq[LatencyRow] =
     latency(kiel, Seq(250 -> "1e-4", 250 -> "5e-4", 250 -> "1e-3")) ++
@@ -96,12 +97,13 @@ object Tables {
   private def latency(p: Prepared, gtiConfigs: Seq[(Int, String)]): Seq[LatencyRow] = {
     val gaps = p.gaps(3600)
     def row(method: String, config: String, impute: (LatLng, LatLng) => Seq[LatLng]) = {
-      GapHarness.evaluate(impute, gaps) // JIT warm-up pass, untimed
+      GapHarness.impute(impute, gaps) // JIT warm-up pass, untimed
       // A gap's latency is the median of three timed calls, one per pass,
-      // so one slow call does not move a row's average.
-      val passes = IndexedSeq.fill(3)(GapHarness.evaluate(impute, gaps))
-      val latencies = gaps.indices.map(i => passes.map(_.latenciesSec(i)).sorted.apply(1))
-      LatencyRow(p.name, method, config, EvalResult(passes.head.dtws, latencies))
+      // so one slow call does not move a row's average. The paths are the
+      // same on every pass, so they are scored once.
+      val passes = IndexedSeq.fill(3)(GapHarness.impute(impute, gaps))
+      val latencies = gaps.indices.map(i => passes.map(_._2(i)).sorted.apply(1))
+      LatencyRow(p.name, method, config, EvalResult(GapHarness.score(passes.head._1, gaps), latencies))
     }
     val graphs = Seq(9, 10).map(r => r -> MotionGraph.build(p.trainDf, r)).toMap
     val habit = for ((r, t) <- Seq((9, 100), (9, 250), (10, 100), (10, 250))) yield

@@ -78,6 +78,25 @@ class GapHarnessSpec extends AnyFunSuite with SparkSpec {
     assert(res.maxLatency >= res.avgLatency)
   }
 
+  test("evaluate: the parallel scores equal serial DTW calls, in gap order, on every run") {
+    // Synthetic gaps of many sizes, so the scoring threads finish out of order.
+    val rnd = new Random(11)
+    val gaps = IndexedSeq.tabulate(300) { k =>
+      val truth = IndexedSeq.iterate(LatLng(54.0 + rnd.nextDouble(), 10.0 + rnd.nextDouble()), 2 + rnd.nextInt(60))(p =>
+        LatLng(p.lat + 0.003 * rnd.nextGaussian(), p.lon + 0.003 * rnd.nextGaussian()))
+      Gap(k.toLong, truth.head, truth.last, truth)
+    }
+    val serial = gaps.map(g => DTW.pathErrorM(SLI.impute(g.from, g.to), g.truth))
+    for (_ <- 1 to 5) {
+      val res = GapHarness.evaluate(SLI.impute, gaps)
+      assert(res.dtws == serial)
+      assert(res.latenciesSec.size == gaps.size)
+    }
+    val (paths, latencies) = GapHarness.impute(SLI.impute, gaps)
+    assert(paths == gaps.map(g => SLI.impute(g.from, g.to)) && latencies.size == gaps.size)
+    assert(GapHarness.score(paths, gaps) == serial)
+  }
+
   test("EvalResult statistics") {
     val r = EvalResult(IndexedSeq(10.0, 30.0, 20.0), IndexedSeq(0.1, 0.3, 0.2))
     assert(math.abs(r.meanDtw - 20.0) < 1e-9)
