@@ -18,9 +18,11 @@ final case class Gap(tripId: Long, from: LatLng, to: LatLng, truth: IndexedSeq[L
 
 /** Accuracy/latency summary over a set of gaps for one method.
   * Percentiles are nearest-rank: element min(n - 1, ⌊q·n⌋) of the sorted
-  * values, each side sorted once.
+  * values, each side sorted once. `dtwCells` is the work counter of the
+  * scoring: the accumulated-cost cells DTW computed over all the gaps
+  * ([[DTW.lastCells]] summed).
   */
-final case class EvalResult(dtws: IndexedSeq[Double], latenciesSec: IndexedSeq[Double]) {
+final case class EvalResult(dtws: IndexedSeq[Double], latenciesSec: IndexedSeq[Double], dtwCells: Long = 0L) {
   private lazy val sortedDtws      = dtws.sorted
   private lazy val sortedLatencies = latenciesSec.sorted
   private def percentile(sorted: IndexedSeq[Double], q: Double): Double =
@@ -93,7 +95,8 @@ object GapHarness {
     */
   def evaluate(method: (LatLng, LatLng) => Seq[LatLng], gaps: Seq[Gap]): EvalResult = {
     val (paths, latencies) = impute(method, gaps)
-    EvalResult(score(paths, gaps), latencies)
+    val (dtws, cells) = score(paths, gaps)
+    EvalResult(dtws, latencies, cells)
   }
 
   /** Impute every gap serially, timing each call: the paths and the
@@ -112,16 +115,19 @@ object GapHarness {
   }
 
   /** Normalized DTW of each path against its gap's ground truth, in gap
-    * order. The gaps are scored in parallel on the common fork-join pool,
-    * sized to the available cores: each score is independent and DTW keeps
-    * only local state, so the scores equal a serial pass's.
+    * order, and the DTW cells computed for them all. The gaps are scored in
+    * parallel on the common fork-join pool, sized to the available cores:
+    * each score is independent and DTW keeps only local state, so the
+    * scores equal a serial pass's.
     */
-  def score(paths: IndexedSeq[Seq[LatLng]], gaps: Seq[Gap]): IndexedSeq[Double] = {
+  def score(paths: IndexedSeq[Seq[LatLng]], gaps: Seq[Gap]): (IndexedSeq[Double], Long) = {
     val truths = gaps.map(_.truth).toIndexedSeq
     require(paths.size == truths.size, s"${paths.size} paths for ${truths.size} gaps")
-    val dtws = new Array[Double](truths.size)
-    IntStream.range(0, truths.size).parallel().forEach(i => dtws(i) = DTW.pathErrorM(paths(i), truths(i)))
-    ArraySeq.unsafeWrapArray(dtws)
+    val dtws = new Array[Double](truths.size); val cells = new Array[Long](truths.size)
+    IntStream.range(0, truths.size).parallel().forEach { i =>
+      dtws(i) = DTW.pathErrorM(paths(i), truths(i)); cells(i) = DTW.lastCells
+    }
+    (ArraySeq.unsafeWrapArray(dtws), cells.sum)
   }
 
   /** Training trips as bare point sequences (GTI's build input). */

@@ -35,7 +35,7 @@ object Tables {
     def cells: Seq[String] =
       Seq(dataset, method, config) ++
         Seq(result.avgLatency, result.p50Latency, result.p99Latency, result.maxLatency).map(s => f"$s%.4f") ++
-        Seq(fmt(result.meanDtw), fmt(result.medianDtw))
+        Seq(fmt(result.meanDtw), fmt(result.medianDtw), f"${result.dtwCells / 1e6}%.2f")
   }
 
   /** Median DTW of HABIT (r=9, t=100) for one gap duration; None when the
@@ -103,7 +103,8 @@ object Tables {
       // same on every pass, so they are scored once.
       val passes = IndexedSeq.fill(3)(GapHarness.impute(impute, gaps))
       val latencies = gaps.indices.map(i => passes.map(_._2(i)).sorted.apply(1))
-      LatencyRow(p.name, method, config, EvalResult(GapHarness.score(passes.head._1, gaps), latencies))
+      val (dtws, cells) = GapHarness.score(passes.head._1, gaps)
+      LatencyRow(p.name, method, config, EvalResult(dtws, latencies, cells))
     }
     val graphs = Seq(9, 10).map(r => r -> MotionGraph.build(p.trainDf, r)).toMap
     val habit = for ((r, t) <- Seq((9, 100), (9, 250), (10, 100), (10, 250))) yield
@@ -152,7 +153,8 @@ object Tables {
           t3.rows.map(_.cells) :+ (Seq("Original", "-") ++ t3.original.cells))
       case "4" =>
         Prep.printTable("Table 4: query latency (s) + DTW accuracy",
-          Seq("Dataset", "Method", "Config", "Avg s", "p50 s", "p99 s", "Max s", "mean DTW", "med DTW"),
+          Seq("Dataset", "Method", "Config", "Avg s", "p50 s", "p99 s", "Max s", "mean DTW", "med DTW",
+              "DTW Mcells"),
           table4(kiel, sar).map(_.cells))
       case "7" =>
         Prep.printTable("Figure 7: HABIT median DTW by gap duration [KIEL, r=9 t=100]",

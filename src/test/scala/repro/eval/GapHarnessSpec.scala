@@ -78,7 +78,7 @@ class GapHarnessSpec extends AnyFunSuite with SparkSpec {
     assert(res.maxLatency >= res.avgLatency)
   }
 
-  test("evaluate: the parallel scores equal serial DTW calls, in gap order, on every run") {
+  test("evaluate: the parallel scores and cell counts equal serial DTW calls, in gap order, on every run") {
     // Synthetic gaps of many sizes, so the scoring threads finish out of order.
     val rnd = new Random(11)
     val gaps = IndexedSeq.tabulate(300) { k =>
@@ -86,15 +86,16 @@ class GapHarnessSpec extends AnyFunSuite with SparkSpec {
         LatLng(p.lat + 0.003 * rnd.nextGaussian(), p.lon + 0.003 * rnd.nextGaussian()))
       Gap(k.toLong, truth.head, truth.last, truth)
     }
-    val serial = gaps.map(g => DTW.pathErrorM(SLI.impute(g.from, g.to), g.truth))
+    val serial = gaps.map(g => DTW.pathErrorM(SLI.impute(g.from, g.to), g.truth) -> DTW.lastCells)
+    val cells = serial.map(_._2).sum
     for (_ <- 1 to 5) {
       val res = GapHarness.evaluate(SLI.impute, gaps)
-      assert(res.dtws == serial)
-      assert(res.latenciesSec.size == gaps.size)
+      assert(res.dtws == serial.map(_._1))
+      assert(res.dtwCells == cells && res.latenciesSec.size == gaps.size)
     }
     val (paths, latencies) = GapHarness.impute(SLI.impute, gaps)
     assert(paths == gaps.map(g => SLI.impute(g.from, g.to)) && latencies.size == gaps.size)
-    assert(GapHarness.score(paths, gaps) == serial)
+    assert(GapHarness.score(paths, gaps) == (serial.map(_._1), cells))
   }
 
   test("EvalResult statistics") {
