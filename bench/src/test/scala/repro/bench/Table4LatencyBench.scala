@@ -38,7 +38,7 @@ class Table4LatencyBench extends AnyFunSuite {
     val rows = Tables.table4(kiel, sar)
     printTable("Table 4: query latency (s) + DTW accuracy, ours vs paper",
       Seq("Dataset", "Method", "Config", "Avg s", "p50 s", "p99 s", "Max s", "meanDTW m", "medDTW m",
-          "DTW Mcells", "paper Avg", "paper Max"),
+          "DTW Mcells", "planar Mcells", "paper Avg", "paper Max"),
       rows.map { r =>
         val p = paper.get((r.dataset, r.method, r.config))
         r.cells ++ Seq(p.fold("-")(_._1.toString), p.fold("-")(_._2.toString))

@@ -18,11 +18,13 @@ final case class Gap(tripId: Long, from: LatLng, to: LatLng, truth: IndexedSeq[L
 
 /** Accuracy/latency summary over a set of gaps for one method.
   * Percentiles are nearest-rank: element min(n - 1, ⌊q·n⌋) of the sorted
-  * values, each side sorted once. `dtwCells` is the work counter of the
-  * scoring: the accumulated-cost cells DTW computed over all the gaps
-  * ([[DTW.lastCells]] summed).
+  * values, each side sorted once. `dtwCells` and `planarCells` are the
+  * work counters of the scoring, summed over all the gaps: the
+  * accumulated-cost cells of DTW's exact pass ([[DTW.lastCells]]) and of
+  * its planar pass ([[DTW.lastPlanarCells]]).
   */
-final case class EvalResult(dtws: IndexedSeq[Double], latenciesSec: IndexedSeq[Double], dtwCells: Long = 0L) {
+final case class EvalResult(dtws: IndexedSeq[Double], latenciesSec: IndexedSeq[Double],
+                            dtwCells: Long = 0L, planarCells: Long = 0L) {
   private lazy val sortedDtws      = dtws.sorted
   private lazy val sortedLatencies = latenciesSec.sorted
   private def percentile(sorted: IndexedSeq[Double], q: Double): Double =
@@ -91,12 +93,11 @@ object GapHarness {
 
   /** Run `method` over every gap, recording normalized DTW against the
     * ground truth and per-query wall-clock latency: [[impute]], then
-    * [[score]].
+    * [[scored]].
     */
   def evaluate(method: (LatLng, LatLng) => Seq[LatLng], gaps: Seq[Gap]): EvalResult = {
     val (paths, latencies) = impute(method, gaps)
-    val (dtws, cells) = score(paths, gaps)
-    EvalResult(dtws, latencies, cells)
+    scored(paths, latencies, gaps)
   }
 
   /** Impute every gap serially, timing each call: the paths and the
@@ -114,20 +115,28 @@ object GapHarness {
     (paths.result(), lats.result())
   }
 
-  /** Normalized DTW of each path against its gap's ground truth, in gap
-    * order, and the DTW cells computed for them all. The gaps are scored in
-    * parallel on the common fork-join pool, sized to the available cores:
-    * each score is independent and DTW keeps only local state, so the
-    * scores equal a serial pass's.
+  /** The result of `paths`, imputed in `latencies`: the normalized DTW of
+    * each path against its gap's ground truth, in gap order, and the DTW
+    * cells computed for them all. The gaps are scored in parallel on the
+    * common fork-join pool, sized to the available cores: each score is
+    * independent and DTW keeps only per-thread state, so the scores equal
+    * a serial pass's.
     */
-  def score(paths: IndexedSeq[Seq[LatLng]], gaps: Seq[Gap]): (IndexedSeq[Double], Long) = {
+  def scored(paths: IndexedSeq[Seq[LatLng]], latencies: IndexedSeq[Double], gaps: Seq[Gap]): EvalResult = {
     val truths = gaps.map(_.truth).toIndexedSeq
     require(paths.size == truths.size, s"${paths.size} paths for ${truths.size} gaps")
-    val dtws = new Array[Double](truths.size); val cells = new Array[Long](truths.size)
+    val dtws = new Array[Double](truths.size)
+    val cells = new Array[Long](truths.size); val planar = new Array[Long](truths.size)
     IntStream.range(0, truths.size).parallel().forEach { i =>
-      dtws(i) = DTW.pathErrorM(paths(i), truths(i)); cells(i) = DTW.lastCells
+      dtws(i) = DTW.pathErrorM(paths(i), truths(i)); cells(i) = DTW.lastCells; planar(i) = DTW.lastPlanarCells
     }
-    (ArraySeq.unsafeWrapArray(dtws), cells.sum)
+    EvalResult(ArraySeq.unsafeWrapArray(dtws), latencies, cells.sum, planar.sum)
+  }
+
+  /** The scores of [[scored]] and its exact-pass cells. */
+  def score(paths: IndexedSeq[Seq[LatLng]], gaps: Seq[Gap]): (IndexedSeq[Double], Long) = {
+    val r = scored(paths, IndexedSeq.empty, gaps)
+    (r.dtws, r.dtwCells)
   }
 
   /** Training trips as bare point sequences (GTI's build input). */

@@ -35,7 +35,8 @@ object Tables {
     def cells: Seq[String] =
       Seq(dataset, method, config) ++
         Seq(result.avgLatency, result.p50Latency, result.p99Latency, result.maxLatency).map(s => f"$s%.4f") ++
-        Seq(fmt(result.meanDtw), fmt(result.medianDtw), f"${result.dtwCells / 1e6}%.2f")
+        Seq(fmt(result.meanDtw), fmt(result.medianDtw), f"${result.dtwCells / 1e6}%.2f",
+            f"${result.planarCells / 1e6}%.2f")
   }
 
   /** Median DTW of HABIT (r=9, t=100) for one gap duration; None when the
@@ -103,8 +104,7 @@ object Tables {
       // same on every pass, so they are scored once.
       val passes = IndexedSeq.fill(3)(GapHarness.impute(impute, gaps))
       val latencies = gaps.indices.map(i => passes.map(_._2(i)).sorted.apply(1))
-      val (dtws, cells) = GapHarness.score(passes.head._1, gaps)
-      LatencyRow(p.name, method, config, EvalResult(dtws, latencies, cells))
+      LatencyRow(p.name, method, config, GapHarness.scored(passes.head._1, latencies, gaps))
     }
     val graphs = Seq(9, 10).map(r => r -> MotionGraph.build(p.trainDf, r)).toMap
     val habit = for ((r, t) <- Seq((9, 100), (9, 250), (10, 100), (10, 250))) yield
@@ -154,7 +154,7 @@ object Tables {
       case "4" =>
         Prep.printTable("Table 4: query latency (s) + DTW accuracy",
           Seq("Dataset", "Method", "Config", "Avg s", "p50 s", "p99 s", "Max s", "mean DTW", "med DTW",
-              "DTW Mcells"),
+              "DTW Mcells", "planar Mcells"),
           table4(kiel, sar).map(_.cells))
       case "7" =>
         Prep.printTable("Figure 7: HABIT median DTW by gap duration [KIEL, r=9 t=100]",

@@ -8,7 +8,10 @@ import scala.util.Random
   * [[ReferenceDTW]]: where the pair bound is tight (so a bound a little too
   * high, or without its margins, drops a cell of the optimal warping path),
   * where it must fall back (the poles, the antimeridian, longitudes beyond
-  * ±180), and on random paths over the globe.
+  * ±180), and on random paths over the globe. Then the upper bound: where
+  * the planar pass's optimum may differ from the haversine one, and its
+  * warping path on random paths; and the block search of the row and
+  * column minima against the brute-force pass.
   */
 class DTWBoundSpec extends AnyFunSuite {
 
@@ -125,5 +128,99 @@ class DTWBoundSpec extends AnyFunSuite {
       def any() = LatLng(-90 + 180 * rnd.nextDouble(), -540 + 1080 * rnd.nextDouble())
       same(IndexedSeq.fill(1 + rnd.nextInt(10))(any()), IndexedSeq.fill(1 + rnd.nextInt(10))(any()))
     }
+  }
+
+  /** A random walk of n points, steps of up to `stepM` metres. */
+  private def walk(rnd: Random, start: LatLng, n: Int, stepM: Double): IndexedSeq[LatLng] =
+    IndexedSeq.iterate(start, n)(p => Geo.destination(p, 360 * rnd.nextDouble(), stepM * rnd.nextDouble()))
+
+  test("where the planar and the haversine optima can differ, the score is still exact") {
+    val rnd = new Random(21)
+    def pair(start: LatLng, stepM: Double) = {
+      val a = walk(rnd, start, 1 + rnd.nextInt(40), stepM)
+      (a, walk(rnd, Geo.destination(start, 360 * rnd.nextDouble(), 3 * stepM * rnd.nextDouble()),
+               1 + rnd.nextInt(40), stepM))
+    }
+    for (_ <- 0 until 400) {
+      // |lat| ≥ 80: the planar plane shears against the sphere.
+      val lat = (80 + 9.99 * rnd.nextDouble()) * (if (rnd.nextBoolean()) 1 else -1)
+      val (a, b) = pair(LatLng(lat, -180 + 360 * rnd.nextDouble()), math.pow(10, 1 + 4 * rnd.nextDouble()))
+      same(a, b)
+      // Across the antimeridian, and with some longitudes written as lon + 360 (540 for 180).
+      val (c, d) = pair(LatLng(-70 + 140 * rnd.nextDouble(), 179.9 + 0.2 * rnd.nextDouble()), 2000.0)
+      same(c, d)
+      same(c.map(p => if (rnd.nextBoolean()) LatLng(p.lat, p.lon + 360) else p), d)
+      // Spans over 5°: no lower bound, and steps of up to 300 km.
+      val (e, f) = pair(LatLng(-60 + 120 * rnd.nextDouble(), -170 + 340 * rnd.nextDouble()), 3e5)
+      same(e, f)
+    }
+    for (_ <- 0 until 300) {
+      // Duplicated points: every point repeated up to four times.
+      val (a, b) = pair(LatLng(-60 + 120 * rnd.nextDouble(), -170 + 340 * rnd.nextDouble()), 500.0)
+      val dup = a.flatMap(p => IndexedSeq.fill(1 + rnd.nextInt(4))(p))
+      same(dup, b)
+      same(dup, a)
+      same(dup, dup.reverse)
+    }
+    // Exact ties: runs along a meridian, one midway between the other's
+    // points, so a cell's predecessors cost the same.
+    for (n <- 1 to 12; m <- 1 to 12; step <- Seq(1e-3, 0.01)) {
+      val a = run(LatLng(10.0, 20.0), n, step, north = true)
+      val b = run(LatLng(10.0 + step / 2, 20.0), m, step, north = true)
+      same(a, b)
+      same(a, a.map(p => LatLng(p.lat, 20.0 + step)) ++ a)
+      same(IndexedSeq.fill(n)(LatLng(0.0, 0.0)), IndexedSeq.fill(m)(LatLng(0.0, 0.0)))
+    }
+  }
+
+  test("the upper bound is the cost of a warping path from the first cell to the last") {
+    val rnd = new Random(55)
+    def check(a: IndexedSeq[LatLng], b: IndexedSeq[LatLng]): Unit = {
+      val (ub, path) = DTW.upperBound(a, b)
+      assert(path.head == ((0, 0)) && path.last == ((a.size - 1, b.size - 1)), s"$a, $b")
+      for (((i, j), (k, l)) <- path.zip(path.tail))
+        assert(Seq((1, 1), (1, 0), (0, 1)).contains((k - i, l - j)), s"step ($i, $j) -> ($k, $l) of $a, $b")
+      val cost = path.foldLeft(0.0) { case (acc, (i, j)) => Geo.haversineM(a(i), b(j)) + acc }
+      assert(ub == cost && ub >= DTW.cost(a, b), s"$a, $b")
+    }
+    for (_ <- 0 until 2000) {
+      val start = LatLng(-89 + 178 * rnd.nextDouble(), -180 + 360 * rnd.nextDouble())
+      val stepM = math.pow(10, 1 + 4 * rnd.nextDouble())
+      val a = walk(rnd, start, 1 + rnd.nextInt(60), stepM)
+      check(a, walk(rnd, Geo.destination(start, 360 * rnd.nextDouble(), 5 * stepM * rnd.nextDouble()),
+                    1 + rnd.nextInt(60), stepM))
+      check(a, a)
+    }
+  }
+
+  test("the block search finds the brute-force row and column minima bit for bit") {
+    val rnd = new Random(89)
+    def check(a: IndexedSeq[LatLng], b: IndexedSeq[LatLng]): Unit = {
+      val pa = new DTW.Points(a, "a"); val pb = new DTW.Points(b, "b")
+      for (c <- Seq(math.min(pa.cos.min, pb.cos.min), rnd.nextDouble(), 1.0)) {
+        val (rowMin, colMin) = ReferenceDTW.leastQ(pa, pb, c)
+        def bits(x: Array[Double]) = x.toSeq.map(java.lang.Double.doubleToRawLongBits)
+        assert(bits(DTW.leastQ(pa, pb, c)) == bits(rowMin), s"rows of $a, $b, c = $c")
+        assert(bits(DTW.leastQ(pb, pa, c)) == bits(colMin), s"columns of $a, $b, c = $c")
+      }
+    }
+    for (_ <- 0 until 1500) {
+      val start = LatLng(-89 + 178 * rnd.nextDouble(), -540 + 1080 * rnd.nextDouble())
+      val stepM = math.pow(10, -2 + 7 * rnd.nextDouble())
+      check(walk(rnd, start, 1 + rnd.nextInt(100), stepM),
+            walk(rnd, Geo.destination(start, 360 * rnd.nextDouble(), 5 * stepM * rnd.nextDouble()),
+                 1 + rnd.nextInt(100), stepM))
+    }
+    // Crafted: exact ties between blocks, points on a block's bounding
+    // circle, duplicates, one point, far-apart and identical paths.
+    val grid = for (i <- 0 until 8; j <- 0 until 8) yield LatLng(50 + 0.01 * i, 8 + 0.01 * j)
+    val ring = IndexedSeq.tabulate(48)(k => Geo.destination(LatLng(0.0, 0.0), 7.5 * k, 1000.0))
+    val cases = Seq(
+      (grid, grid), (grid, grid.reverse), (grid, IndexedSeq(LatLng(50.035, 8.035))),
+      (IndexedSeq(LatLng(0.0, 0.0)), ring), (ring, IndexedSeq(LatLng(0.0, 0.0), LatLng(0.0, 0.0))),
+      (ring ++ ring, ring.reverse), (IndexedSeq.fill(40)(LatLng(1.0, 1.0)), IndexedSeq.fill(33)(LatLng(1.0, 1.0))),
+      (run(LatLng(0.0, 0.0), 50, 0.01, north = true), run(LatLng(0.0, 100.0), 50, 0.01, north = false)),
+      (run(LatLng(89.0, 0.0), 50, 0.02, north = true), run(LatLng(-90.0, 540.0), 50, 7.0, north = false)))
+    for ((a, b) <- cases) { check(a, b); check(b, a) }
   }
 }

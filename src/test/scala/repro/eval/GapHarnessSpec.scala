@@ -98,6 +98,24 @@ class GapHarnessSpec extends AnyFunSuite with SparkSpec {
     assert(GapHarness.score(paths, gaps) == (serial.map(_._1), cells))
   }
 
+  test("evaluate: scores and both cell counters equal serial calls over gaps of very different sizes") {
+    // Small gaps first, then ones a hundred times larger: each scoring
+    // thread's direction buffer of the planar pass grows mid-run.
+    val rnd = new Random(17)
+    val gaps = IndexedSeq.tabulate(120) { k =>
+      val n = if (k < 80) 2 + rnd.nextInt(10) else 200 + rnd.nextInt(1000)
+      val truth = IndexedSeq.iterate(LatLng(54.0 + rnd.nextDouble(), 10.0 + rnd.nextDouble()), n)(p =>
+        LatLng(p.lat + 0.003 * rnd.nextGaussian(), p.lon + 0.003 * rnd.nextGaussian()))
+      Gap(k.toLong, truth.head, truth.last, truth)
+    }
+    val serial = gaps.map(g => (DTW.pathErrorM(SLI.impute(g.from, g.to), g.truth), DTW.lastCells, DTW.lastPlanarCells))
+    for (_ <- 1 to 3) {
+      val res = GapHarness.evaluate(SLI.impute, gaps)
+      assert(res.dtws == serial.map(_._1))
+      assert(res.dtwCells == serial.map(_._2).sum && res.planarCells == serial.map(_._3).sum)
+    }
+  }
+
   test("EvalResult statistics") {
     val r = EvalResult(IndexedSeq(10.0, 30.0, 20.0), IndexedSeq(0.1, 0.3, 0.2))
     assert(math.abs(r.meanDtw - 20.0) < 1e-9)
